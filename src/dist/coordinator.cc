@@ -1,28 +1,20 @@
 #include "dist/coordinator.hh"
 
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
-
-#include <cstring>
-
-extern char **environ;
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <set>
 #include <thread>
 
 #include "common/logging.hh"
-#include "dist/ssh_launcher.hh"
+#include "dist/launcher.hh"
+#include "dist/progress.hh"
 #include "sweep/digest.hh"
 #include "sweep/remote_store.hh"
 #include "sweep/result_store.hh"
-
-namespace fs = std::filesystem;
 
 namespace smt::dist
 {
@@ -124,113 +116,9 @@ declareShardOrphans(sweep::ResultStore &store, const ShardPlan &plan,
 
 } // namespace
 
-void
-LocalProcessLauncher::setStoreToken(const std::string &token)
-{
-    tokenEnv_ = token.empty() ? "" : "SMTSTORE_TOKEN=" + token;
-}
-
-void
-LocalProcessLauncher::setTraceId(const std::string &trace_id)
-{
-    traceEnv_ = trace_id.empty()
-                    ? ""
-                    : std::string(obs::kTraceEnvVar) + "=" + trace_id;
-}
-
-long
-LocalProcessLauncher::launch(unsigned shard,
-                             const std::vector<std::string> &argv)
-{
-    // Build the exec vectors before forking: the child must go
-    // straight to execve without touching the heap. The token rides
-    // the environment, never argv — argv is world-readable via ps.
-    std::vector<char *> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string &arg : argv)
-        cargv.push_back(const_cast<char *>(arg.c_str()));
-    cargv.push_back(nullptr);
-
-    std::vector<char *> cenv;
-    for (char **e = environ; *e != nullptr; ++e) {
-        if (!tokenEnv_.empty()
-            && std::strncmp(*e, "SMTSTORE_TOKEN=", 15) == 0)
-            continue;
-        if (!traceEnv_.empty()
-            && std::strncmp(*e, "SMTSWEEP_TRACE_ID=", 18) == 0)
-            continue;
-        cenv.push_back(*e);
-    }
-    if (!tokenEnv_.empty())
-        cenv.push_back(const_cast<char *>(tokenEnv_.c_str()));
-    if (!traceEnv_.empty())
-        cenv.push_back(const_cast<char *>(traceEnv_.c_str()));
-    cenv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        smt_fatal("cannot fork worker for shard %u", shard);
-    if (pid == 0) {
-        ::execve(cargv[0], cargv.data(), cenv.data());
-        // Reached only when exec failed; stdio may be shared with the
-        // parent, so keep it to one write and a raw exit.
-        std::fprintf(stderr, "smtsweep-dist: cannot exec %s\n", cargv[0]);
-        ::_exit(127);
-    }
-    return pid;
-}
-
-bool
-LocalProcessLauncher::poll(long handle, int &exit_code)
-{
-    int status = 0;
-    const pid_t r = ::waitpid(static_cast<pid_t>(handle), &status, WNOHANG);
-    if (r == 0)
-        return false;
-    if (r < 0) {
-        // Already reaped (or never ours): treat as a failed exit.
-        exit_code = 127;
-        return true;
-    }
-    if (WIFEXITED(status))
-        exit_code = WEXITSTATUS(status);
-    else if (WIFSIGNALED(status))
-        exit_code = 128 + WTERMSIG(status);
-    else
-        return false; // stopped/continued; keep polling.
-    return true;
-}
-
-void
-LocalProcessLauncher::wait(long handle, int &exit_code)
-{
-    int status = 0;
-    const pid_t r = ::waitpid(static_cast<pid_t>(handle), &status, 0);
-    if (r < 0) {
-        exit_code = 127;
-        return;
-    }
-    if (WIFEXITED(status))
-        exit_code = WEXITSTATUS(status);
-    else if (WIFSIGNALED(status))
-        exit_code = 128 + WTERMSIG(status);
-    else
-        exit_code = 127;
-}
-
-void
-LocalProcessLauncher::terminate(long handle)
-{
-    ::kill(static_cast<pid_t>(handle), SIGTERM);
-    int status = 0;
-    ::waitpid(static_cast<pid_t>(handle), &status, 0);
-}
-
 std::vector<std::string>
 workerShardArgs(const DistOptions &opts, const std::string &experiment,
-                unsigned jobs, unsigned shard, bool captured_progress,
-                const std::string &progress_base,
-                const std::string &trace_out)
+                unsigned jobs, unsigned shard)
 {
     const std::string &locator = opts.ropts.cacheDir;
     const bool remote_store = sweep::isRemoteStoreLocator(locator);
@@ -250,16 +138,6 @@ workerShardArgs(const DistOptions &opts, const std::string &experiment,
         "--marker-ttl",
         std::to_string(opts.ropts.markerTtlSeconds),
     };
-    if (captured_progress)
-        argv.push_back("--progress-stdout");
-    else {
-        argv.push_back("--progress-file");
-        argv.push_back(progressPath(progress_base, shard));
-    }
-    if (!trace_out.empty()) {
-        argv.push_back("--trace-out");
-        argv.push_back(trace_out);
-    }
     if (opts.steal) {
         argv.push_back("--steal");
         argv.push_back("--steal-wait");
@@ -272,18 +150,6 @@ workerShardArgs(const DistOptions &opts, const std::string &experiment,
     return argv;
 }
 
-std::unique_ptr<WorkerLauncher>
-makeLauncher(const std::string &host_list, const std::string &ssh_program)
-{
-    if (host_list.empty())
-        return std::make_unique<LocalProcessLauncher>();
-    std::vector<std::string> hosts = parseHostList(host_list);
-    if (hosts.empty())
-        smt_fatal("--hosts \"%s\" names no hosts", host_list.c_str());
-    return std::make_unique<SshWorkerLauncher>(std::move(hosts),
-                                               ssh_program);
-}
-
 int
 runDistributed(const sweep::NamedExperiment &experiment,
                const DistOptions &opts, DistOutcome &outcome)
@@ -293,19 +159,15 @@ runDistributed(const sweep::NamedExperiment &experiment,
         smt_fatal("a distributed sweep needs a shared store "
                   "(--cache-dir or --store-url)");
     const std::string &name = experiment.spec.name;
-    const std::string &locator = opts.ropts.cacheDir;
-    const bool remote_store = sweep::isRemoteStoreLocator(locator);
-
     const auto start = std::chrono::steady_clock::now();
 
     std::unique_ptr<sweep::ResultStore> store =
-        sweep::openStore(locator, opts.ropts.storeToken);
+        sweep::openStore(opts.ropts.cacheDir, opts.ropts.storeToken);
 
     // The coordinator's trace id brackets the whole sweep: its own
-    // store requests carry it, local workers inherit it through the
-    // environment, and the coordinator emits the sweep-level spans
-    // (start / worker exits / done) between the workers' per-digest
-    // ones.
+    // store requests carry it, workers inherit it, and the coordinator
+    // emits the sweep-level spans (start / worker exits / done)
+    // between the workers' per-digest ones.
     obs::TraceWriter *const trace = opts.ropts.trace;
     if (trace != nullptr)
         store->setTraceContext(trace->traceId());
@@ -315,7 +177,7 @@ runDistributed(const sweep::NamedExperiment &experiment,
     };
 
     // Plan and record the expected work before any worker starts, so
-    // the store can be audited from the first heartbeat on. Observed
+    // the store can be audited from the first report on. Observed
     // costs from a previous sweep over this store outrank estimates.
     const std::vector<sweep::SweepPoint> grid =
         experiment.spec.expand(opts.ropts.measure);
@@ -325,13 +187,34 @@ runDistributed(const sweep::NamedExperiment &experiment,
     const ShardPlan plan = planShards(grid, opts.shards, hints);
     store->writeManifest(makeManifest(name, grid, plan, hints));
 
-    std::unique_ptr<WorkerLauncher> launcher =
-        makeLauncher(opts.hostList, opts.sshProgram);
-    if (!opts.ropts.storeToken.empty())
-        launcher->setStoreToken(opts.ropts.storeToken);
+    // Every worker streams its runner spans to stdout: the fold turns
+    // them into progress, a traced sweep appends them verbatim to its
+    // own trace, and any other output line is forwarded to stderr —
+    // on a live terminal over the progress line, which the next tick
+    // redraws.
+    const bool live_tty = opts.showProgress && ::isatty(2) != 0;
+    ProgressFold fold(
+        plan,
+        [trace](unsigned, const std::string &line) {
+            if (trace != nullptr)
+                trace->append(line);
+        },
+        [live_tty](unsigned shard, const std::string &line) {
+            std::fprintf(stderr,
+                         live_tty ? "\r[shard %u] %-76s\n"
+                                  : "[shard %u] %s\n",
+                         shard, line.c_str());
+        });
+    const std::vector<std::string> hosts = parseHostList(opts.hostList);
+    if (!opts.hostList.empty() && hosts.empty())
+        smt_fatal("--hosts \"%s\" names no hosts", opts.hostList.c_str());
+    WorkerLauncher launcher(hosts, opts.sshProgram,
+                            [&fold](unsigned shard, std::string_view bytes) {
+                                fold.feed(shard, bytes);
+                            });
+    launcher.setStoreToken(opts.ropts.storeToken);
     if (trace != nullptr)
-        launcher->setTraceId(trace->traceId());
-    const bool captured_progress = launcher->capturesProgress();
+        launcher.setTraceId(trace->traceId());
 
     {
         sweep::Json f = sweep::Json::object();
@@ -343,53 +226,10 @@ runDistributed(const sweep::NamedExperiment &experiment,
         sweepSpan("sweep_start", std::move(f));
     }
 
-    // File-based heartbeats need a local directory; a remote store has
-    // no local one, so they live beside the working directory, keyed
-    // by pid so concurrent sweeps in one cwd cannot clobber each
-    // other's heartbeat streams.
-    const std::string progress_base =
-        remote_store ? ".smtsweep-dist-progress-"
-                           + std::to_string(::getpid())
-                     : locator;
-    if (!captured_progress) {
-        std::error_code ec;
-        fs::create_directories(progress_base + "/progress", ec);
-        if (ec)
-            smt_fatal("cannot create %s/progress: %s",
-                      progress_base.c_str(), ec.message().c_str());
-        // Stale heartbeat files from a previous sweep over this store
-        // all end `finished: true`; read before the fresh workers
-        // truncate them, they would trip the terminal-state fast path
-        // into blocking waits. Start from a clean slate.
-        for (unsigned s = 0; s < opts.shards; ++s)
-            fs::remove(progressPath(progress_base, s), ec);
-    }
-
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const unsigned jobs = opts.jobsPerWorker > 0
                               ? opts.jobsPerWorker
                               : std::max(1u, hw / opts.shards);
-
-    // A traced sweep hands every worker a --trace-out of its own —
-    // workers emit the per-digest spans; without this the merged
-    // trace holds only coordinator-level events. Local workers append
-    // to the coordinator's own file (TraceWriter opens in append mode
-    // and writes whole lines); remote workers get a per-shard path on
-    // their host, and against a remote store they additionally flush
-    // their spans to the server's capture (POST /v1/trace), which is
-    // the path that actually merges them.
-    auto workerTraceOut = [&](unsigned shard) -> std::string {
-        if (trace == nullptr)
-            return "";
-        if (opts.hostList.empty())
-            return trace->path();
-        return trace->path() + ".shard" + std::to_string(shard);
-    };
-    auto workerArgs = [&](unsigned shard) {
-        return workerShardArgs(opts, name, jobs, shard,
-                               captured_progress, progress_base,
-                               workerTraceOut(shard));
-    };
 
     struct Worker
     {
@@ -402,13 +242,13 @@ runDistributed(const sweep::NamedExperiment &experiment,
     std::vector<Worker> workers(opts.shards);
     for (unsigned s = 0; s < opts.shards; ++s) {
         workers[s].status.shard = s;
-        workers[s].handle = launcher->launch(s, workerArgs(s));
+        workers[s].handle =
+            launcher.launch(s, workerShardArgs(opts, name, jobs, s));
         workers[s].running = true;
         workers[s].attempts = 1;
         workers[s].launchedAt = start;
     }
 
-    const bool live_tty = opts.showProgress && ::isatty(2) != 0;
     std::string last_logged;
     bool failed = false;
     unsigned running = opts.shards;
@@ -422,13 +262,6 @@ runDistributed(const sweep::NamedExperiment &experiment,
     std::string store_suffix;
     unsigned ticks = 0;
 
-    auto latestFor = [&](Worker &w, ProgressRecord &rec) {
-        if (captured_progress)
-            return launcher->latestProgress(w.handle, rec);
-        return readLatestProgress(
-            progressPath(progress_base, w.status.shard), rec);
-    };
-
     auto onExit = [&](Worker &w, int exit_code) {
         w.running = false;
         --running;
@@ -441,6 +274,7 @@ runDistributed(const sweep::NamedExperiment &experiment,
             sweepSpan("worker_exit", std::move(f));
         }
         if (exit_code == 0) {
+            fold.finish(w.status.shard);
             w.status.succeeded = true;
             w.status.attempts = w.attempts;
             w.status.wallSeconds = secondsSince(w.launchedAt);
@@ -467,8 +301,10 @@ runDistributed(const sweep::NamedExperiment &experiment,
                      "(attempt %u of %u)",
                      w.status.shard, opts.shards, exit_code,
                      w.attempts + 1, opts.retries + 1);
-            w.handle = launcher->launch(w.status.shard,
-                                        workerArgs(w.status.shard));
+            fold.restart(w.status.shard);
+            w.handle = launcher.launch(
+                w.status.shard,
+                workerShardArgs(opts, name, jobs, w.status.shard));
             w.running = true;
             ++w.attempts;
             w.launchedAt = std::chrono::steady_clock::now();
@@ -487,25 +323,13 @@ runDistributed(const sweep::NamedExperiment &experiment,
             if (!w.running)
                 continue;
             int exit_code = 0;
-            if (launcher->poll(w.handle, exit_code))
+            if (launcher.poll(w.handle, exit_code))
                 onExit(w, exit_code);
         }
         if (failed)
             break;
 
-        // Fold every shard's newest heartbeat into one status line.
-        // One read per worker per tick; the records double as the
-        // terminal-state check below.
-        std::vector<ProgressRecord> latest;
-        std::vector<bool> reported(workers.size(), false);
-        std::vector<ProgressRecord> record(workers.size());
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            if (latestFor(workers[i], record[i])) {
-                reported[i] = true;
-                latest.push_back(record[i]);
-            }
-        }
-        const ProgressSummary summary = aggregateProgress(latest);
+        const ProgressSummary summary = fold.summary();
         if (remote != nullptr && ticks++ % 20 == 0) {
             if (std::optional<sweep::Json> s = remote->stats())
                 store_suffix = storeStatsBrief(*s);
@@ -532,31 +356,10 @@ runDistributed(const sweep::NamedExperiment &experiment,
                 }
             }
         }
-        if (running == 0)
-            break;
-
-        // Once every still-running shard has reported terminal state,
-        // stop polling: reap each worker with a blocking wait so the
-        // coordinator exits as soon as they do.
-        bool all_terminal = true;
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            if (workers[i].running
-                && (!reported[i] || !record[i].finished)) {
-                all_terminal = false;
-                break;
-            }
-        }
-        if (all_terminal) {
-            for (Worker &w : workers) {
-                if (!w.running)
-                    continue;
-                int exit_code = 0;
-                launcher->wait(w.handle, exit_code);
-                onExit(w, exit_code);
-            }
-            continue;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        // Deliver worker output as it arrives (a worker blocked on a
+        // full pipe would stall), and notice exits within one tick.
+        if (running > 0)
+            launcher.pump(std::chrono::milliseconds(150));
     }
     if (live_tty)
         std::fprintf(stderr, "\n");
@@ -564,22 +367,20 @@ runDistributed(const sweep::NamedExperiment &experiment,
     if (failed) {
         for (Worker &w : workers) {
             if (w.running)
-                launcher->terminate(w.handle);
+                launcher.terminate(w.handle);
         }
         return 1;
     }
 
-    // Collect final per-shard numbers from the heartbeat streams.
+    // Final per-shard numbers, as the span streams reported them.
     outcome.shards.clear();
     outcome.workerCacheHits = 0;
     unsigned succeeded = 0;
     for (Worker &w : workers) {
-        ProgressRecord rec;
-        if (latestFor(w, rec)) {
-            w.status.points = rec.pointsTotal;
-            w.status.cacheHits = rec.cacheHits;
-            w.status.stolen = rec.stolen;
-        }
+        const ShardProgress &p = fold.shard(w.status.shard);
+        w.status.points = p.points;
+        w.status.cacheHits = p.cacheHits;
+        w.status.stolen = p.stolen.size();
         if (w.status.succeeded)
             ++succeeded;
         outcome.workerCacheHits += w.status.cacheHits;
@@ -617,7 +418,6 @@ runDistributed(const sweep::NamedExperiment &experiment,
                  leftovers.size());
         sweep::RunnerOptions recovery_opts = opts.ropts;
         recovery_opts.requireCached = false;
-        recovery_opts.onProgress = nullptr;
         sweep::runPoints(leftovers, recovery_opts);
     }
 
@@ -626,7 +426,6 @@ runDistributed(const sweep::NamedExperiment &experiment,
     // the replay is bit-identical to a serial run by construction.
     sweep::RunnerOptions merge_opts = opts.ropts;
     merge_opts.requireCached = true;
-    merge_opts.onProgress = nullptr;
     outcome.merged = sweep::runSweep(experiment.spec, merge_opts);
 
     // Dynamic cost feedback: record what each digest actually cost in
@@ -645,12 +444,6 @@ runDistributed(const sweep::NamedExperiment &experiment,
         }
         manifest->set("observedCosts", std::move(costs));
         store->writeManifest(*manifest);
-    }
-
-    // The pid-keyed progress dir of a remote-store run is scratch.
-    if (remote_store && !captured_progress) {
-        std::error_code ec;
-        fs::remove_all(progress_base, ec);
     }
 
     outcome.wallSeconds = secondsSince(start);

@@ -5,7 +5,7 @@
  * Plans the shard partition (preferring observed point costs from the
  * store manifest over estimates), records the expected-work manifest
  * in the shared store, launches one `smtsweep --shard i/N` worker per
- * shard, monitors their heartbeats into a live stderr progress line
+ * shard, folds their span streams into a live stderr progress line
  * (with ETA), and finally merges the store back into a SweepOutcome —
  * a pure cache replay, so the merged result is bit-identical to a
  * serial run of the same experiment whichever store (local directory
@@ -18,20 +18,20 @@
  * last worker exits is recovered in-process before the merge. With
  * --no-steal, the classic per-shard relaunch (--retries) applies.
  *
- * Worker processes are started through the WorkerLauncher interface:
- * LocalProcessLauncher fork/execs on this host; SshWorkerLauncher
- * (dist/ssh_launcher.hh) runs them on a --hosts list and captures
- * their output. makeLauncher() picks by host list.
+ * Workers run on this host or, with a host list, over ssh
+ * (dist/launcher.hh). Their only report is the runner's span stream
+ * on stdout, which the coordinator captures and folds against its
+ * plan into the progress line and the per-shard summary
+ * (dist/progress.hh); a traced sweep also appends every span to its
+ * own trace file.
  */
 
 #ifndef SMT_DIST_COORDINATOR_HH
 #define SMT_DIST_COORDINATOR_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "dist/progress.hh"
 #include "dist/shard.hh"
 #include "sweep/experiments.hh"
 #include "sweep/json.hh"
@@ -40,111 +40,18 @@
 namespace smt::dist
 {
 
-/** Starts and polls worker processes for the coordinator. */
-class WorkerLauncher
-{
-  public:
-    virtual ~WorkerLauncher() = default;
-
-    /** Start the worker for `shard` with the given argv (argv[0] is
-     *  the program). Returns an opaque handle. */
-    virtual long launch(unsigned shard,
-                        const std::vector<std::string> &argv) = 0;
-
-    /**
-     * Hand every future worker the store bearer token — through the
-     * environment (local fork/exec) or the ssh stdin pipe (remote),
-     * NEVER through argv, so the token is invisible to `ps` on every
-     * host. Workers read it back from SMTSTORE_TOKEN.
-     */
-    virtual void setStoreToken(const std::string &token)
-    {
-        (void)token;
-    }
-
-    /**
-     * Hand every future worker the sweep's trace id (SMTSWEEP_TRACE_ID
-     * in its environment), so worker spans and store access logs join
-     * the coordinator's trace. The local backend appends it to the
-     * exec environment; the ssh backend exports it inside the remote
-     * command (sshd drops foreign env vars by default — and unlike the
-     * store token, a trace id is not a secret, so argv is fine).
-     */
-    virtual void setTraceId(const std::string &trace_id)
-    {
-        (void)trace_id;
-    }
-
-    /** Poll a worker; true once it has exited, filling `exit_code`
-     *  (128+signal for a signalled death). */
-    virtual bool poll(long handle, int &exit_code) = 0;
-
-    /** Block until the worker exits (the monitor switches to this
-     *  once every shard has reported terminal progress, so the loop
-     *  ends promptly instead of polling idle workers). */
-    virtual void wait(long handle, int &exit_code) = 0;
-
-    /** Best-effort termination (another shard failed hard). */
-    virtual void terminate(long handle) = 0;
-
-    /** True when this launcher captures worker heartbeats itself
-     *  (workers then heartbeat to stdout, not to progress files). */
-    virtual bool capturesProgress() const { return false; }
-
-    /** The newest captured heartbeat, when capturesProgress(). */
-    virtual bool latestProgress(long handle, ProgressRecord &out)
-    {
-        (void)handle;
-        (void)out;
-        return false;
-    }
-};
-
-/** fork/exec workers on this host (the token, if any, rides an
- *  SMTSTORE_TOKEN entry appended to the exec environment). */
-class LocalProcessLauncher final : public WorkerLauncher
-{
-  public:
-    long launch(unsigned shard,
-                const std::vector<std::string> &argv) override;
-    void setStoreToken(const std::string &token) override;
-    void setTraceId(const std::string &trace_id) override;
-    bool poll(long handle, int &exit_code) override;
-    void wait(long handle, int &exit_code) override;
-    void terminate(long handle) override;
-
-  private:
-    std::string tokenEnv_; ///< "SMTSTORE_TOKEN=<token>" or empty.
-    std::string traceEnv_; ///< "SMTSWEEP_TRACE_ID=<id>" or empty.
-};
-
-/**
- * The launcher for a host list: empty means this host
- * (LocalProcessLauncher); "hostA,hostB,..." launches workers over ssh
- * (SshWorkerLauncher), `ssh_program` being the ssh binary to invoke
- * (injectable for tests).
- */
-std::unique_ptr<WorkerLauncher> makeLauncher(const std::string &host_list,
-                                             const std::string &ssh_program
-                                             = "ssh");
-
 struct DistOptions;
 
 /**
  * The argv one worker shard is launched with (exposed so tests can
- * pin what the coordinator forwards — notably that a traced sweep
- * hands every worker a `--trace-out` of its own: without one, workers
- * emit no per-digest spans at all and the merged trace silently
- * reduces to coordinator-level events). `trace_out` is the worker's
- * trace file path, "" for an untraced sweep. The store token is
- * deliberately never part of this argv — it travels out of band
- * through the launcher (argv shows up in ps).
+ * pin what the coordinator forwards). It names no file: the worker
+ * streams its spans to stdout whether or not the sweep is traced.
+ * The store token is deliberately never part of this argv — it
+ * travels out of band through the launcher (argv shows up in ps).
  */
 std::vector<std::string>
 workerShardArgs(const DistOptions &opts, const std::string &experiment,
-                unsigned jobs, unsigned shard, bool captured_progress,
-                const std::string &progress_base,
-                const std::string &trace_out);
+                unsigned jobs, unsigned shard);
 
 /** How to run a distributed sweep. */
 struct DistOptions

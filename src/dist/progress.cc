@@ -1,132 +1,13 @@
 #include "dist/progress.hh"
 
-#include <cinttypes>
-#include <fstream>
+#include <cstdio>
 #include <sstream>
 
-#include "common/logging.hh"
+#include "obs/trace_analysis.hh"
 #include "sweep/json.hh"
 
 namespace smt::dist
 {
-
-ProgressWriter::ProgressWriter(const std::string &path, unsigned shard,
-                               std::size_t points_total)
-    : shard_(shard), pointsTotal_(points_total),
-      start_(std::chrono::steady_clock::now())
-{
-    if (path.empty())
-        return;
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_ == nullptr) {
-        smt_warn("cannot write progress file %s", path.c_str());
-        return;
-    }
-    owned_ = true;
-    append(0, 0, 0, false);
-}
-
-ProgressWriter::ProgressWriter(std::FILE *stream, unsigned shard,
-                               std::size_t points_total)
-    : file_(stream), owned_(false), shard_(shard),
-      pointsTotal_(points_total),
-      start_(std::chrono::steady_clock::now())
-{
-    if (file_ != nullptr)
-        append(0, 0, 0, false);
-}
-
-ProgressWriter::~ProgressWriter()
-{
-    if (file_ != nullptr && owned_)
-        std::fclose(file_);
-}
-
-void
-ProgressWriter::update(std::size_t points_done, std::size_t cache_hits,
-                       std::size_t stolen)
-{
-    append(points_done, cache_hits, stolen, false);
-}
-
-void
-ProgressWriter::finish(std::size_t points_done, std::size_t cache_hits,
-                       std::size_t stolen)
-{
-    append(points_done, cache_hits, stolen, true);
-}
-
-void
-ProgressWriter::append(std::size_t points_done, std::size_t cache_hits,
-                       std::size_t stolen, bool finished)
-{
-    if (file_ == nullptr)
-        return;
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now()
-                                      - start_)
-            .count();
-    // One complete line per record, flushed, so readers never block on
-    // a half-written record (a torn tail parses as garbage and is
-    // skipped).
-    std::fprintf(file_,
-                 "{\"shard\":%u,\"done\":%zu,\"total\":%zu,\"hits\":%zu,"
-                 "\"stolen\":%zu,\"wall\":%.3f,\"finished\":%s}\n",
-                 shard_, points_done, pointsTotal_, cache_hits, stolen,
-                 wall, finished ? "true" : "false");
-    std::fflush(file_);
-}
-
-bool
-parseProgressLine(const std::string &line, ProgressRecord &out)
-{
-    sweep::Json j;
-    if (!sweep::Json::parse(line, j)
-        || j.type() != sweep::Json::Type::Object || !j.has("done")
-        || !j.has("total"))
-        return false;
-    ProgressRecord rec;
-    rec.shard = j.has("shard")
-                    ? static_cast<unsigned>(j.at("shard").asUInt())
-                    : 0;
-    rec.pointsDone = j.at("done").asUInt();
-    rec.pointsTotal = j.at("total").asUInt();
-    rec.cacheHits = j.has("hits") ? j.at("hits").asUInt() : 0;
-    rec.stolen = j.has("stolen") ? j.at("stolen").asUInt() : 0;
-    rec.wallSeconds = j.has("wall") ? j.at("wall").asDouble() : 0.0;
-    rec.finished = j.has("finished") && j.at("finished").asBool();
-    out = rec;
-    return true;
-}
-
-bool
-readLatestProgress(const std::string &path, ProgressRecord &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-
-    // The coordinator polls several times a second for the lifetime of
-    // a sweep, so read only a tail that is guaranteed to contain the
-    // newest complete record (records are one short line each) rather
-    // than re-parsing the whole ever-growing file. Seeking may land
-    // mid-line; that fragment simply fails to parse and is skipped.
-    constexpr std::streamoff kTailBytes = 4096;
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    in.seekg(size > kTailBytes ? size - kTailBytes : 0);
-
-    bool found = false;
-    std::string line;
-    while (std::getline(in, line)) {
-        ProgressRecord rec;
-        if (!parseProgressLine(line, rec))
-            continue;
-        out = rec;
-        found = true;
-    }
-    return found;
-}
 
 double
 ProgressSummary::etaSeconds(double elapsed_seconds) const
@@ -139,29 +20,6 @@ ProgressSummary::etaSeconds(double elapsed_seconds) const
     if (rate <= 0.0)
         return -1.0;
     return static_cast<double>(pointsTotal - pointsDone) / rate;
-}
-
-ProgressSummary
-aggregateProgress(const std::vector<ProgressRecord> &latest)
-{
-    ProgressSummary sum;
-    for (const ProgressRecord &rec : latest) {
-        sum.pointsDone += rec.pointsDone;
-        sum.pointsTotal += rec.pointsTotal;
-        sum.cacheHits += rec.cacheHits;
-        sum.stolen += rec.stolen;
-        ++sum.shardsReporting;
-        if (rec.finished)
-            ++sum.shardsFinished;
-    }
-    return sum;
-}
-
-std::string
-progressPath(const std::string &store_dir, unsigned shard)
-{
-    return store_dir + "/progress/shard-" + std::to_string(shard)
-           + ".jsonl";
 }
 
 std::string
@@ -184,6 +42,84 @@ renderProgressLine(const ProgressSummary &summary, unsigned shard_count,
         line << buf;
     }
     return line.str();
+}
+
+ProgressFold::ProgressFold(const ShardPlan &plan, LineSink spans,
+                           LineSink other)
+    : plan_(plan), spans_(std::move(spans)), other_(std::move(other)),
+      shards_(plan.shardCount), pending_(plan.shardCount)
+{
+    for (unsigned s = 0; s < plan.shardCount; ++s)
+        shards_[s].points = plan.members[s].size();
+    for (const std::string &digest : plan.digests)
+        ++pointsOf_[digest];
+}
+
+void
+ProgressFold::feed(unsigned shard, std::string_view bytes)
+{
+    std::string &pending = pending_.at(shard);
+    pending.append(bytes);
+    std::size_t start = 0;
+    for (std::size_t nl = pending.find('\n'); nl != std::string::npos;
+         nl = pending.find('\n', start)) {
+        if (nl > start)
+            foldLine(shard, pending.substr(start, nl - start));
+        start = nl + 1;
+    }
+    pending.erase(0, start);
+}
+
+void
+ProgressFold::foldLine(unsigned shard, const std::string &line)
+{
+    sweep::Json span;
+    if (!sweep::Json::parse(line, span)
+        || span.type() != sweep::Json::Type::Object
+        || obs::getString(span, "event").empty()) {
+        if (other_)
+            other_(shard, line);
+        return;
+    }
+    const std::string event = obs::getString(span, "event");
+    if (event == "hit" || event == "stored") {
+        const std::string digest = obs::getString(span, "digest");
+        ShardProgress &p = shards_[shard];
+        const auto owner = plan_.shardOfDigest.find(digest);
+        if (owner == plan_.shardOfDigest.end() || owner->second != shard) {
+            p.stolen.insert(digest);
+        } else {
+            if (event == "hit")
+                ++p.cacheHits;
+            if (p.settled.insert(digest).second)
+                p.pointsDone += pointsOf_.at(digest);
+        }
+    }
+    if (spans_)
+        spans_(shard, line);
+}
+
+void
+ProgressFold::restart(unsigned shard)
+{
+    ShardProgress fresh;
+    fresh.points = shards_.at(shard).points;
+    shards_[shard] = std::move(fresh);
+    pending_[shard].clear();
+}
+
+ProgressSummary
+ProgressFold::summary() const
+{
+    ProgressSummary sum;
+    for (const ShardProgress &p : shards_) {
+        sum.pointsDone += p.pointsDone;
+        sum.pointsTotal += p.points;
+        sum.cacheHits += p.cacheHits;
+        sum.stolen += p.stolen.size();
+        sum.shardsFinished += p.finished ? 1 : 0;
+    }
+    return sum;
 }
 
 } // namespace smt::dist

@@ -1,95 +1,41 @@
 /**
  * @file
- * Worker heartbeat records and their coordinator-side aggregation.
+ * The coordinator's live view of a sweep, folded from its workers'
+ * span streams.
  *
- * Each worker appends one JSON line per settled point either to its
- * own progress file (`progress/shard-N.jsonl` under the progress
- * directory — local workers) or to its stdout (remote workers, whose
- * ssh pipe the coordinator captures): points done, cache hits, points
- * stolen from dead shards, wall seconds since the worker started, and
- * a final `finished` record. One writer per stream, flushed per line,
- * so a coordinator (or a human with tail -f) can watch a sweep
- * converge; a torn final line is simply ignored.
- *
- * The coordinator reads the latest record of every shard's stream and
- * folds them into a ProgressSummary: total points done, aggregate
- * cache hits, and an ETA extrapolated from the observed rate.
+ * A shard worker reports nothing but its runner spans, streamed to
+ * stdout (one JSON object per line, see obs/trace.hh). The
+ * coordinator captures that stream and folds the `hit` and `stored`
+ * spans against its ShardPlan: a digest of the shard's own plan
+ * settles its points, a `hit` counts a cache hit, and a digest from
+ * outside the plan was stolen from a dead shard. Totals come from the
+ * plan, so the progress line knows the sweep's size before the first
+ * report. A shard counts as done when its process exits 0.
  */
 
 #ifndef SMT_DIST_PROGRESS_HH
 #define SMT_DIST_PROGRESS_HH
 
-#include <chrono>
 #include <cstddef>
-#include <cstdio>
+#include <functional>
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "dist/shard.hh"
 
 namespace smt::dist
 {
 
-/** One heartbeat: a shard's position at a moment in time. */
-struct ProgressRecord
-{
-    unsigned shard = 0;
-    std::size_t pointsDone = 0;
-    std::size_t pointsTotal = 0;
-    std::size_t cacheHits = 0;
-    std::size_t stolen = 0; ///< orphans adopted from dead shards.
-    double wallSeconds = 0.0;
-    bool finished = false;
-};
-
-/** Appends a shard's heartbeat records to one JSONL stream. */
-class ProgressWriter
-{
-  public:
-    /** Truncates `path` (a relaunched shard restarts its record
-     *  stream); an empty path makes every call a no-op. */
-    ProgressWriter(const std::string &path, unsigned shard,
-                   std::size_t points_total);
-
-    /** Heartbeats onto a borrowed stream (a remote worker's stdout,
-     *  captured by the coordinator through the ssh pipe). */
-    ProgressWriter(std::FILE *stream, unsigned shard,
-                   std::size_t points_total);
-
-    ~ProgressWriter();
-
-    ProgressWriter(const ProgressWriter &) = delete;
-    ProgressWriter &operator=(const ProgressWriter &) = delete;
-
-    void update(std::size_t points_done, std::size_t cache_hits,
-                std::size_t stolen = 0);
-    void finish(std::size_t points_done, std::size_t cache_hits,
-                std::size_t stolen = 0);
-
-  private:
-    void append(std::size_t points_done, std::size_t cache_hits,
-                std::size_t stolen, bool finished);
-
-    std::FILE *file_ = nullptr;
-    bool owned_ = false;
-    unsigned shard_;
-    std::size_t pointsTotal_;
-    std::chrono::steady_clock::time_point start_;
-};
-
-/** Parse one heartbeat line; false when `line` is not a record (torn
- *  tails, interleaved human output on a captured stream). */
-bool parseProgressLine(const std::string &line, ProgressRecord &out);
-
-/** The newest well-formed record of a progress file, if any. */
-bool readLatestProgress(const std::string &path, ProgressRecord &out);
-
-/** Every shard's latest position, folded together. */
+/** Every shard's position, folded together. */
 struct ProgressSummary
 {
     std::size_t pointsDone = 0;
     std::size_t pointsTotal = 0;
     std::size_t cacheHits = 0;
     std::size_t stolen = 0;
-    unsigned shardsReporting = 0;
     unsigned shardsFinished = 0;
 
     /** Remaining seconds extrapolated from `elapsed`; < 0 while no
@@ -97,16 +43,66 @@ struct ProgressSummary
     double etaSeconds(double elapsed_seconds) const;
 };
 
-ProgressSummary
-aggregateProgress(const std::vector<ProgressRecord> &latest);
-
-/** The per-shard progress file path under a progress directory. */
-std::string progressPath(const std::string &store_dir, unsigned shard);
-
 /** One-line human rendering ("12/16 points, 3 hits, 1/2 shards ..."). */
 std::string renderProgressLine(const ProgressSummary &summary,
                                unsigned shard_count,
                                double elapsed_seconds);
+
+/** One shard's position, as its spans report it. */
+struct ShardProgress
+{
+    std::size_t points = 0;     ///< planned point count.
+    std::size_t pointsDone = 0; ///< points of settled own digests.
+    std::size_t cacheHits = 0;  ///< `hit` spans for own digests.
+    std::set<std::string> settled; ///< own digests hit or stored.
+    std::set<std::string> stolen;  ///< foreign digests it settled.
+    bool finished = false;         ///< the process exited 0.
+};
+
+class ProgressFold
+{
+  public:
+    using LineSink =
+        std::function<void(unsigned shard, const std::string &line)>;
+
+    /** `spans` receives every span line verbatim once folded (the
+     *  coordinator's trace, when the sweep is traced); `other` every
+     *  other complete line (forwarded to stderr). Either may be
+     *  empty. */
+    ProgressFold(const ShardPlan &plan, LineSink spans, LineSink other);
+
+    ProgressFold(const ProgressFold &) = delete;
+    ProgressFold &operator=(const ProgressFold &) = delete;
+
+    /** Fold a chunk of shard `shard`'s captured output. Only complete
+     *  lines count: a trailing partial line waits for the rest, and
+     *  is ignored if the worker dies first. */
+    void feed(unsigned shard, std::string_view bytes);
+
+    /** A relaunched shard reports from scratch. */
+    void restart(unsigned shard);
+
+    /** The shard's process exited 0. */
+    void finish(unsigned shard) { shards_.at(shard).finished = true; }
+
+    const ShardProgress &shard(unsigned shard) const
+    {
+        return shards_.at(shard);
+    }
+
+    ProgressSummary summary() const;
+
+  private:
+    void foldLine(unsigned shard, const std::string &line);
+
+    const ShardPlan &plan_;
+    LineSink spans_;
+    LineSink other_;
+    std::vector<ShardProgress> shards_;
+    std::vector<std::string> pending_; ///< per shard: a partial line.
+    /** Grid points per digest: what settling the digest settles. */
+    std::map<std::string, std::size_t> pointsOf_;
+};
 
 } // namespace smt::dist
 

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "dist/progress.hh"
 #include "sweep/digest.hh"
 #include "sweep/result_store.hh"
 
@@ -201,23 +200,9 @@ runShard(const sweep::ExperimentSpec &spec,
         }
     }
 
-    std::unique_ptr<ProgressWriter> writer;
-    if (wopts.progressToStdout)
-        writer = std::make_unique<ProgressWriter>(stdout, wopts.index,
-                                                  mine.size());
-    else
-        writer = std::make_unique<ProgressWriter>(wopts.progressPath,
-                                                  wopts.index,
-                                                  mine.size());
-
     ShardRunResult out;
-    sweep::RunnerOptions shard_opts = ropts;
-    shard_opts.onProgress = [&](const sweep::RunProgress &p) {
-        writer->update(p.pointsDone, p.cacheHits);
-    };
-
     const std::vector<sweep::PointResult> results =
-        sweep::runPoints(mine, shard_opts);
+        sweep::runPoints(mine, ropts);
 
     out.points = results.size();
     for (const sweep::PointResult &r : results) {
@@ -265,13 +250,11 @@ runShard(const sweep::ExperimentSpec &spec,
                     smt_inform("shard %u: adopted orphaned %s",
                                wopts.index, digest.c_str());
                 sweep::RunnerOptions steal_opts = ropts;
-                steal_opts.onProgress = nullptr;
                 steal_opts.requireCached = false;
                 sweep::runPoints({grid[idx]}, steal_opts);
                 ++out.stolen;
                 adopted = true;
                 last_activity = std::chrono::steady_clock::now();
-                writer->update(out.points, out.cacheHits, out.stolen);
             }
             if (all_done)
                 break;
@@ -286,19 +269,17 @@ runShard(const sweep::ExperimentSpec &spec,
     }
 
     out.wallSeconds = secondsSince(start);
-    writer->finish(out.points, out.cacheHits, out.stolen);
     return out;
 }
 
 ShardRunResult
 runShard(const sweep::ExperimentSpec &spec,
          const sweep::RunnerOptions &ropts, unsigned shard_index,
-         unsigned shard_count, const std::string &progress_path)
+         unsigned shard_count)
 {
     ShardWorkerOptions wopts;
     wopts.index = shard_index;
     wopts.count = shard_count;
-    wopts.progressPath = progress_path;
     return runShard(spec, ropts, wopts);
 }
 

@@ -109,14 +109,6 @@ struct ShardWorkerOptions
 {
     unsigned index = 0;
     unsigned count = 1;
-
-    /** JSONL heartbeat file; empty = none (see progressToStdout). */
-    std::string progressPath;
-
-    /** Heartbeat to stdout instead — remote workers, whose stdout the
-     *  coordinator captures through the ssh pipe. */
-    bool progressToStdout = false;
-
     StealOptions steal;
 };
 
@@ -128,16 +120,17 @@ struct ShardWorkerOptions
  * identical inputs yield identical plans in every worker. With
  * stealing enabled the worker lingers after its own slice and adopts
  * orphaned digests of dead shards through the store's claim CAS.
+ * Progress is reported through ropts.trace: the runner's hit and
+ * stored spans are what a coordinator folds (dist/progress.hh).
  */
 ShardRunResult runShard(const sweep::ExperimentSpec &spec,
                         const sweep::RunnerOptions &ropts,
                         const ShardWorkerOptions &wopts);
 
-/** Convenience overload (no stealing, optional progress file). */
+/** Convenience overload (no stealing). */
 ShardRunResult runShard(const sweep::ExperimentSpec &spec,
                         const sweep::RunnerOptions &ropts,
-                        unsigned shard_index, unsigned shard_count,
-                        const std::string &progress_path = {});
+                        unsigned shard_index, unsigned shard_count);
 
 } // namespace smt::dist
 

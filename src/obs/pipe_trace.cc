@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.hh"
 #include "core/dyn_inst.hh"
 #include "core/pipeline_state.hh"
 #include "isa/static_inst.hh"
@@ -45,29 +44,6 @@ threadArray(const T &counts, unsigned threads)
 }
 
 } // namespace
-
-// ---- PipeTraceSink -----------------------------------------------------
-
-PipeTraceSink::PipeTraceSink(const std::string &path) : path_(path)
-{
-    f_ = std::fopen(path.c_str(), "a");
-    if (f_ == nullptr)
-        smt_fatal("cannot open pipetrace file %s", path.c_str());
-}
-
-PipeTraceSink::~PipeTraceSink()
-{
-    std::fclose(f_);
-}
-
-void
-PipeTraceSink::write(const std::string &line)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::fwrite(line.data(), 1, line.size(), f_);
-    std::fputc('\n', f_);
-    std::fflush(f_);
-}
 
 // ---- PipeTrace ---------------------------------------------------------
 

@@ -34,12 +34,11 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <set>
 #include <string>
 
 #include "common/types.hh"
+#include "obs/jsonl.hh"
 #include "sweep/json.hh"
 
 namespace smt
@@ -68,33 +67,9 @@ struct PipeTraceOptions
     std::uint64_t samplePeriod = 0;
 };
 
-/**
- * A shared, thread-safe JSONL sink. Several `PipeTrace` streams —
- * one per measured run, possibly on pool threads — append whole
- * lines concurrently; each line is flushed as written (same crash
- * discipline as `TraceWriter`).
- */
-class PipeTraceSink
-{
-  public:
-    /** Opens `path` for append; fatal if it cannot be opened.
-     *  "/dev/null" works and is what the simspeed A/B uses. */
-    explicit PipeTraceSink(const std::string &path);
-    ~PipeTraceSink();
-
-    PipeTraceSink(const PipeTraceSink &) = delete;
-    PipeTraceSink &operator=(const PipeTraceSink &) = delete;
-
-    /** Append one line (newline added) and flush. */
-    void write(const std::string &line);
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-    std::FILE *f_;
-    std::mutex mu_;
-};
+/** The sink every run's stream appends to: the shared JSONL writer,
+ *  so streams on pool threads interleave whole lines. */
+using PipeTraceSink = JsonlWriter;
 
 /**
  * One run's pipetrace stream. Attach to a core via

@@ -6,7 +6,6 @@
 
 #include <unistd.h>
 
-#include "common/logging.hh"
 
 namespace smt::obs
 {
@@ -69,20 +68,17 @@ monoSeconds()
 }
 
 TraceWriter::TraceWriter(const std::string &path, std::string trace_id)
-    : path_(path), trace_(std::move(trace_id))
+    : out_(path), trace_(std::move(trace_id))
 {
     if (trace_.empty()) {
         const char *env = std::getenv(kTraceEnvVar);
         trace_ = (env != nullptr && *env != '\0') ? env : newTraceId();
     }
-    f_ = std::fopen(path.c_str(), "a");
-    if (f_ == nullptr)
-        smt_fatal("cannot open trace file %s", path.c_str());
 }
 
-TraceWriter::~TraceWriter()
+TraceWriter::TraceWriter(std::FILE *stream, std::string trace_id)
+    : out_(stream), trace_(std::move(trace_id))
 {
-    std::fclose(f_);
 }
 
 std::string
@@ -98,12 +94,7 @@ TraceWriter::emit(const std::string &event, sweep::Json fields)
             line.set(key, value);
 
     std::string text = line.dump();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        std::fwrite(text.data(), 1, text.size(), f_);
-        std::fputc('\n', f_);
-        std::fflush(f_);
-    }
+    out_.write(text);
     return text;
 }
 

@@ -15,9 +15,9 @@
 #define SMT_OBS_TRACE_HH
 
 #include <cstdio>
-#include <mutex>
 #include <string>
 
+#include "obs/jsonl.hh"
 #include "sweep/json.hh"
 
 namespace smt::obs
@@ -47,10 +47,10 @@ double nowUnixSeconds();
 double monoSeconds();
 
 /**
- * A thread-safe JSONL appender. Construction opens (appends to) the
- * file; emit() serializes one event per line and flushes, so a trace
- * is readable while the sweep is still running and survives a crash
- * up to the last event.
+ * A thread-safe span emitter over the shared JSONL writer: emit()
+ * serializes one event per line and flushes, so a trace is readable
+ * while the sweep is still running and survives a crash up to the
+ * last event.
  */
 class TraceWriter
 {
@@ -62,7 +62,14 @@ class TraceWriter
      */
     explicit TraceWriter(const std::string &path,
                          std::string trace_id = "");
-    ~TraceWriter();
+
+    /**
+     * Streams spans to a borrowed stream (a shard worker's stdout,
+     * folded by its coordinator) under exactly `trace_id`. An empty
+     * id marks spans that belong to no trace: the runner then stamps
+     * no X-Smt-Trace header and posts nothing to the store.
+     */
+    TraceWriter(std::FILE *stream, std::string trace_id);
 
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
@@ -78,14 +85,15 @@ class TraceWriter
      */
     std::string emit(const std::string &event, sweep::Json fields);
 
+    /** Append a line another process emitted, verbatim (the spans a
+     *  coordinator's workers stream back). */
+    void append(const std::string &line) { out_.write(line); }
+
     const std::string &traceId() const { return trace_; }
-    const std::string &path() const { return path_; }
 
   private:
-    std::string path_;
+    JsonlWriter out_;
     std::string trace_;
-    std::FILE *f_;
-    std::mutex mu_;
 };
 
 } // namespace smt::obs

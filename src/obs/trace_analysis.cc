@@ -15,14 +15,6 @@ namespace smt::obs
 namespace
 {
 
-std::string
-getString(const sweep::Json &j, const char *key)
-{
-    if (j.has(key) && j.at(key).type() == sweep::Json::Type::String)
-        return j.at(key).asString();
-    return "";
-}
-
 /** A numeric field as double; `fallback` when absent or non-numeric. */
 double
 getNumber(const sweep::Json &j, const char *key, double fallback)
@@ -83,19 +75,6 @@ classifyLine(const std::string &line, std::vector<TraceEvent> &events,
         return true;
     }
     return false;
-}
-
-/** Inclusive percentile of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = std::ceil(p / 100.0 * sorted.size());
-    std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
 }
 
 /** The trace id to analyze: the requested one, else the id with the
@@ -163,6 +142,26 @@ workerKey(const TraceEvent &ev)
 }
 
 } // namespace
+
+std::string
+getString(const sweep::Json &j, const char *key)
+{
+    if (j.has(key) && j.at(key).type() == sweep::Json::Type::String)
+        return j.at(key).asString();
+    return "";
+}
+
+double
+percentile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0.0;
+    const double rank = std::ceil(p / 100.0 * sorted.size());
+    std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+    if (idx >= sorted.size())
+        idx = sorted.size() - 1;
+    return sorted[idx];
+}
 
 bool
 TraceSet::addFile(const std::string &path, std::string *error)

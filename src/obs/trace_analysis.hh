@@ -185,6 +185,15 @@ struct TraceAnalysis
 TraceAnalysis analyzeTrace(const TraceSet &set,
                            const std::string &trace_id = "");
 
+/** Inclusive (nearest-rank) percentile of an ascending-sorted
+ *  sample; 0 when it is empty. Shared by the trace and pipe
+ *  analyses. */
+double percentile(const std::vector<double> &sorted, double p);
+
+/** A string field of a JSON object; "" when absent or not a
+ *  string. */
+std::string getString(const sweep::Json &j, const char *key);
+
 /** The machine-readable summary ("smt-trace-v1"). A non-null
  *  `stalls` document (from `smtsweep --stall-report --json`) is
  *  embedded under "stalls". */

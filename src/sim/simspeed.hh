@@ -6,10 +6,8 @@
  * This is a meta-benchmark of the implementation, not a result of the
  * paper: it exists so hot-path changes (policy devirtualization, the
  * SoA pipeline scans) are measured, and so CI can refuse a silent
- * slowdown. One library feeds both front ends — `smtsweep
- * --bench-simspeed` (no external dependencies) and the google-benchmark
- * harness in bench/ — and both emit the same BENCH_simspeed.json
- * ("smt-simspeed-v1"):
+ * slowdown. Its front end is `smtsweep --bench-simspeed`, which emits
+ * BENCH_simspeed.json ("smt-simspeed-v1"):
  *
  *   {
  *     "schema": "smt-simspeed-v1",

@@ -112,14 +112,16 @@ runPoints(const std::vector<SweepPoint> &points, const RunnerOptions &ropts)
     // identity so a merged fleet trace attributes every measurement.
     // Against a *remote* store the emitted lines are also buffered
     // byte-identically and flushed to the server (`POST /v1/trace`)
-    // when the sweep settles — a remote worker's spans would otherwise
-    // die with its host. Both span-emitting passes run on this thread,
-    // so the buffer needs no lock.
+    // when the sweep settles — unless they carry no trace id (a shard
+    // worker's untraced report stream). Both span-emitting passes run
+    // on this thread, so the buffer needs no lock.
     char hostbuf[256] = {};
     if (::gethostname(hostbuf, sizeof hostbuf - 1) != 0)
         hostbuf[0] = '\0';
     const std::string host = hostbuf[0] != '\0' ? hostbuf : "unknown";
-    auto *remote = dynamic_cast<RemoteResultStore *>(store.get());
+    auto *remote = ropts.trace != nullptr && !ropts.trace->traceId().empty()
+                       ? dynamic_cast<RemoteResultStore *>(store.get())
+                       : nullptr;
     std::string span_buffer;
     const auto span = [&](const char *event, const PointResult &result,
                           double seconds = -1.0, double dur_us = -1.0) {

@@ -61,8 +61,7 @@ struct RunnerOptions
      *  the pool's own default (SMTSIM_POOL_WORKERS or the hardware). */
     unsigned jobs = 0;
 
-    /** Invoked after each point settles (cache hit or measured) —
-     *  distributed workers append heartbeat records from here. */
+    /** Invoked after each point settles (cache hit or measured). */
     std::function<void(const RunProgress &)> onProgress;
 
     /**

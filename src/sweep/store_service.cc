@@ -100,25 +100,17 @@ StoreService::StoreService(const std::string &dir, bool verbose,
 {
 }
 
-StoreService::~StoreService()
-{
-    if (accessLog_ != nullptr)
-        std::fclose(accessLog_);
-}
-
 bool
 StoreService::setAccessLog(const std::string &path, std::string *error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "a");
-    if (f == nullptr) {
+    std::unique_ptr<obs::JsonlWriter> log = obs::JsonlWriter::open(path);
+    if (log == nullptr) {
         if (error != nullptr)
             *error = "cannot open access log " + path;
         return false;
     }
     std::lock_guard<std::mutex> lock(accessMu_);
-    if (accessLog_ != nullptr)
-        std::fclose(accessLog_);
-    accessLog_ = f;
+    accessLog_ = std::move(log);
     return true;
 }
 
@@ -127,6 +119,10 @@ StoreService::logAccess(const net::HttpRequest &req,
                         const net::HttpResponse &resp, std::uint64_t us,
                         const std::string &route)
 {
+    // Checked first: a service without a log builds no record.
+    std::lock_guard<std::mutex> lock(accessMu_);
+    if (accessLog_ == nullptr)
+        return;
     // One JSONL object per request — the shape tools/smttrace joins
     // with client spans by the trace id (docs/PROTOCOL.md spec).
     Json rec = Json::object();
@@ -142,13 +138,7 @@ StoreService::logAccess(const net::HttpRequest &req,
                              resp.body.size())));
     rec.set("latency_us", Json(us));
     rec.set("trace", Json(req.headers.get(obs::kTraceHeader)));
-    const std::string text = rec.dump();
-    std::lock_guard<std::mutex> lock(accessMu_);
-    if (accessLog_ == nullptr)
-        return;
-    std::fwrite(text.data(), 1, text.size(), accessLog_);
-    std::fputc('\n', accessLog_);
-    std::fflush(accessLog_);
+    accessLog_->write(rec.dump());
 }
 
 net::HttpResponse

@@ -75,11 +75,12 @@
 #define SMT_SWEEP_STORE_SERVICE_HH
 
 #include <chrono>
-#include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 
 #include "net/http.hh"
+#include "obs/jsonl.hh"
 #include "obs/metrics.hh"
 #include "sweep/result_store.hh"
 
@@ -94,7 +95,6 @@ class StoreService
      *  every route. */
     explicit StoreService(const std::string &dir, bool verbose = false,
                           std::string token = std::string());
-    ~StoreService();
 
     StoreService(const StoreService &) = delete;
     StoreService &operator=(const StoreService &) = delete;
@@ -138,8 +138,8 @@ class StoreService
     std::string token_;
     std::mutex mu_;
 
-    std::FILE *accessLog_ = nullptr;
-    std::mutex accessMu_; ///< serializes access-log appends only.
+    std::unique_ptr<obs::JsonlWriter> accessLog_;
+    std::mutex accessMu_; ///< guards accessLog_ (set while serving).
     std::mutex traceMu_;  ///< serializes trace-capture appends only.
 
     obs::Registry metrics_;

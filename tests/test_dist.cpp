@@ -3,12 +3,15 @@
  * Tests for the distributed sweep subsystem: shard planning
  * (disjointness, completeness, stability, balance), the hardened
  * result store (in-progress markers, orphan detection, manifest),
- * progress aggregation, and the acceptance bar — a sharded run merged
- * from a shared store is bit-identical to a serial sweep.
+ * the span fold behind the coordinator's progress line, and the
+ * acceptance bar — a sharded run merged from a shared store is
+ * bit-identical to a serial sweep, in-process and end to end through
+ * real `smtsweep` workers (local and over a stub ssh).
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,6 +26,8 @@
 #include "dist/coordinator.hh"
 #include "dist/progress.hh"
 #include "dist/shard.hh"
+#include "obs/trace.hh"
+#include "obs/trace_analysis.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
 #include "sweep/result_store.hh"
@@ -535,68 +540,120 @@ TEST(MarkerTtl, StealLoopAdoptsExpiredLeasesWithoutACoordinator)
     EXPECT_EQ(merged.cacheMisses, 0u);
 }
 
-// ---- Progress --------------------------------------------------------------
+// ---- Progress: the span fold -----------------------------------------------
 
-TEST(Progress, WriterRecordsAndReaderAggregates)
+/** Four points: digest "a" twice (shard 0), "b" and "c" (shard 1). */
+ShardPlan
+foldPlan()
 {
-    TempDir dir("progress");
-    const std::string p0 = dir.path() + "/shard-0.jsonl";
-    const std::string p1 = dir.path() + "/shard-1.jsonl";
-
-    {
-        ProgressWriter w0(p0, 0, 3);
-        w0.update(1, 1);
-        w0.update(2, 1);
-        ProgressWriter w1(p1, 1, 2);
-        w1.update(1, 0);
-        w1.finish(2, 0);
-    }
-
-    ProgressRecord r0, r1;
-    ASSERT_TRUE(readLatestProgress(p0, r0));
-    ASSERT_TRUE(readLatestProgress(p1, r1));
-    EXPECT_EQ(r0.pointsDone, 2u);
-    EXPECT_EQ(r0.pointsTotal, 3u);
-    EXPECT_EQ(r0.cacheHits, 1u);
-    EXPECT_FALSE(r0.finished);
-    EXPECT_TRUE(r1.finished);
-
-    const ProgressSummary sum = aggregateProgress({r0, r1});
-    EXPECT_EQ(sum.pointsDone, 4u);
-    EXPECT_EQ(sum.pointsTotal, 5u);
-    EXPECT_EQ(sum.cacheHits, 1u);
-    EXPECT_EQ(sum.shardsReporting, 2u);
-    EXPECT_EQ(sum.shardsFinished, 1u);
-
-    // 4 points in 8s -> 2s per point -> 1 left -> eta 2s.
-    EXPECT_NEAR(sum.etaSeconds(8.0), 2.0, 1e-9);
-    EXPECT_FALSE(renderProgressLine(sum, 2, 8.0).empty());
+    ShardPlan plan;
+    plan.shardCount = 2;
+    plan.digests = {"a", "a", "b", "c"};
+    plan.shardOf = {0, 0, 1, 1};
+    plan.members = {{0, 1}, {2, 3}};
+    plan.shardOfDigest = {{"a", 0}, {"b", 1}, {"c", 1}};
+    return plan;
 }
 
-TEST(Progress, TornTrailingLinesAreIgnored)
+/** One runner span line, as a worker streams it. */
+std::string
+spanLine(const char *event, const char *digest)
 {
-    TempDir dir("torn");
-    const std::string path = dir.path() + "/shard-0.jsonl";
-    {
-        ProgressWriter w(path, 0, 4);
-        w.update(3, 2);
-    }
-    { // Simulate a crash mid-append.
-        std::ofstream out(path, std::ios::app);
-        out << "{\"shard\":0,\"done\":4,\"tot";
-    }
-    ProgressRecord rec;
-    ASSERT_TRUE(readLatestProgress(path, rec));
-    EXPECT_EQ(rec.pointsDone, 3u);
+    return std::string("{\"ts\": 1.0, \"event\": \"") + event
+           + "\", \"trace\": \"\", \"digest\": \"" + digest + "\"}\n";
+}
+
+TEST(ProgressFold, FoldsHitAndStoredSpansAgainstThePlan)
+{
+    const ShardPlan plan = foldPlan();
+    std::vector<std::string> spans, forwarded;
+    const auto tagged = [](std::vector<std::string> &out) {
+        return [&out](unsigned shard, const std::string &line) {
+            out.push_back(std::to_string(shard) + " " + line);
+        };
+    };
+    ProgressFold fold(plan, tagged(spans), tagged(forwarded));
+
+    // Totals come from the plan, before any worker reports.
+    EXPECT_EQ(renderProgressLine(fold.summary(), 2, 0.0),
+              "0/4 points, 0 hits, 0/2 shards done, 0.0s elapsed");
+
+    // Shard 0 replays both points of "a" (one hit span each); shard 1
+    // measures "b", its stored span split across two reads, then
+    // prints its summary.
+    fold.feed(0, spanLine("hit", "a") + spanLine("hit", "a"));
+    const std::string stored_b = spanLine("stored", "b");
+    fold.feed(1, spanLine("queued", "b") + spanLine("claimed", "b")
+                     + spanLine("run", "b") + stored_b.substr(0, 20));
+    fold.feed(1, stored_b.substr(20) + "shard 1/2 of smoke: 1 point\n");
+
+    ProgressSummary sum = fold.summary();
+    EXPECT_EQ(sum.pointsDone, 3u);
+    EXPECT_EQ(sum.pointsTotal, 4u);
+    EXPECT_EQ(sum.cacheHits, 2u);
+    EXPECT_EQ(sum.stolen, 0u);
+    EXPECT_EQ(sum.shardsFinished, 0u);
+
+    // Every span passes on verbatim (the traced coordinator's file);
+    // every other line is forwarded.
+    ASSERT_EQ(spans.size(), 6u);
+    EXPECT_EQ(spans.back(), "1 " + stored_b.substr(0, stored_b.size() - 1));
+    EXPECT_EQ(forwarded,
+              std::vector<std::string>{"1 shard 1/2 of smoke: 1 point"});
+
+    // Shard 0 adopts shard 1's "c" and exits 0: a steal, not a point
+    // of its own.
+    fold.feed(0, spanLine("stored", "c"));
+    fold.finish(0);
+    sum = fold.summary();
+    EXPECT_EQ(sum.pointsDone, 3u);
+    EXPECT_EQ(sum.stolen, 1u);
+    EXPECT_EQ(sum.shardsFinished, 1u);
+    EXPECT_EQ(fold.shard(0).points, 2u);
+    EXPECT_EQ(fold.shard(0).cacheHits, 2u);
+    EXPECT_EQ(fold.shard(0).stolen.size(), 1u);
+    EXPECT_EQ(fold.shard(1).pointsDone, 1u);
+    EXPECT_EQ(fold.shard(1).cacheHits, 0u);
+
+    // 3 points in 6s -> 2s per point -> 1 left -> eta 2s.
+    EXPECT_NEAR(sum.etaSeconds(6.0), 2.0, 1e-9);
+    EXPECT_EQ(renderProgressLine(sum, 2, 6.0),
+              "3/4 points, 2 hits, 1 stolen, 1/2 shards done, 6.0s "
+              "elapsed, eta 2.0s");
+}
+
+TEST(ProgressFold, TornTrailingLinesAreIgnored)
+{
+    const ShardPlan plan = foldPlan();
+    std::size_t spans = 0;
+    std::vector<std::string> forwarded;
+    ProgressFold fold(
+        plan, [&spans](unsigned, const std::string &) { ++spans; },
+        [&forwarded](unsigned, const std::string &line) {
+            forwarded.push_back(line);
+        });
+
+    // The worker dies mid-line: the torn tail neither counts nor
+    // reaches stderr or the trace.
+    fold.feed(1, spanLine("stored", "b") + "{\"ts\": 2.0, \"event\": \"st");
+    EXPECT_EQ(fold.summary().pointsDone, 1u);
+    EXPECT_EQ(spans, 1u);
+    EXPECT_TRUE(forwarded.empty());
+
+    // Its relaunch reports from scratch; the old tail is gone.
+    fold.restart(1);
+    fold.feed(1, "ored\", \"digest\": \"c\"}\n");
+    EXPECT_EQ(fold.summary().pointsDone, 0u);
+    EXPECT_EQ(forwarded,
+              std::vector<std::string>{"ored\", \"digest\": \"c\"}"});
 
     ProgressSummary empty;
     EXPECT_LT(empty.etaSeconds(1.0), 0.0); // no rate yet -> unknown.
-    EXPECT_FALSE(readLatestProgress(dir.path() + "/absent.jsonl", rec));
 }
 
 // ---- The acceptance bar ----------------------------------------------------
 
-TEST(Dist, WorkerArgvForwardsTheTraceFileAndNeverTheToken)
+TEST(Dist, WorkerArgvNamesNoFileAndNeverTheToken)
 {
     dist::DistOptions opts;
     opts.shards = 2;
@@ -604,10 +661,6 @@ TEST(Dist, WorkerArgvForwardsTheTraceFileAndNeverTheToken)
     opts.ropts.cacheDir = "http://store:8377";
     opts.ropts.storeToken = "super-secret-token";
 
-    const auto has = [](const std::vector<std::string> &argv,
-                        const std::string &flag) {
-        return std::find(argv.begin(), argv.end(), flag) != argv.end();
-    };
     const auto value_after = [](const std::vector<std::string> &argv,
                                 const std::string &flag) -> std::string {
         const auto it = std::find(argv.begin(), argv.end(), flag);
@@ -615,33 +668,28 @@ TEST(Dist, WorkerArgvForwardsTheTraceFileAndNeverTheToken)
                                                         : "";
     };
 
-    // A traced sweep hands the worker its trace file — the fix for
-    // dist-mode span loss, where workers silently emitted nothing.
-    const std::vector<std::string> traced = dist::workerShardArgs(
-        opts, "smoke", 4, 1, true, "", "/tmp/trace.jsonl.shard1");
-    EXPECT_EQ(value_after(traced, "--trace-out"),
-              "/tmp/trace.jsonl.shard1");
-    EXPECT_EQ(value_after(traced, "--store-url"), "http://store:8377");
-    EXPECT_EQ(value_after(traced, "--shard"), "1/2");
+    const std::vector<std::string> argv =
+        dist::workerShardArgs(opts, "smoke", 4, 1);
+    EXPECT_EQ(value_after(argv, "--store-url"), "http://store:8377");
+    EXPECT_EQ(value_after(argv, "--shard"), "1/2");
 
-    // An untraced sweep passes no --trace-out at all.
-    const std::vector<std::string> untraced =
-        dist::workerShardArgs(opts, "smoke", 4, 0, true, "", "");
-    EXPECT_FALSE(has(untraced, "--trace-out"));
-
-    // The token travels out of band (stdin / environment), never in
-    // an argv that ps would show.
-    for (const std::vector<std::string> &argv : {traced, untraced})
-        for (const std::string &arg : argv)
-            EXPECT_EQ(arg.find("super-secret-token"),
-                      std::string::npos);
+    // Workers report on stdout whether or not the sweep is traced, so
+    // the argv names no trace or progress file. The token travels out
+    // of band (stdin / environment), never in an argv ps would show.
+    for (const std::string &arg : argv) {
+        EXPECT_EQ(arg.find("--trace-out"), std::string::npos);
+        EXPECT_EQ(arg.find("progress"), std::string::npos);
+        EXPECT_EQ(arg.find("super-secret-token"), std::string::npos);
+    }
 
     // A directory locator forwards as --cache-dir instead.
     opts.ropts.cacheDir = "/shared/cache";
     const std::vector<std::string> local_store =
-        dist::workerShardArgs(opts, "smoke", 1, 0, true, "", "");
+        dist::workerShardArgs(opts, "smoke", 1, 0);
     EXPECT_EQ(value_after(local_store, "--cache-dir"), "/shared/cache");
-    EXPECT_FALSE(has(local_store, "--store-url"));
+    EXPECT_EQ(std::find(local_store.begin(), local_store.end(),
+                        "--store-url"),
+              local_store.end());
 }
 
 TEST(Dist, ShardedRunMergedFromSharedStoreMatchesSerialBitForBit)
@@ -833,27 +881,214 @@ TEST(Dist, AuditArtifactClassifiesManifestWork)
     EXPECT_TRUE(no_manifest.has("error"));
 }
 
-TEST(Dist, ShardWorkersReportProgressTheCoordinatorCanRead)
+TEST(Dist, ShardWorkerSpansFoldIntoItsShardCounts)
 {
     const NamedExperiment *smoke = sweep::findExperiment("smoke");
     ASSERT_NE(smoke, nullptr);
 
-    TempDir dir("heartbeat");
-    fs::create_directories(dir.path() + "/progress");
+    TempDir dir("spans");
+    const std::string spans_path = dir.path() + "/spans.jsonl";
     sweep::RunnerOptions ropts;
     ropts.measure = tinyOptions();
     ropts.cacheDir = dir.path();
+    const ShardPlan plan =
+        planShards(smoke->spec.expand(ropts.measure), 2);
 
-    const std::string path = progressPath(dir.path(), 0);
-    const ShardRunResult r = runShard(smoke->spec, ropts, 0, 2, path);
-
-    ProgressRecord rec;
-    ASSERT_TRUE(readLatestProgress(path, rec));
-    EXPECT_TRUE(rec.finished);
-    EXPECT_EQ(rec.pointsDone, r.points);
-    EXPECT_EQ(rec.pointsTotal, r.points);
-    EXPECT_EQ(rec.cacheHits, r.cacheHits);
+    // Shard 0 measures cold, then replays warm: its span stream must
+    // fold to exactly what runShard reports.
+    for (const char *pass : {"cold", "warm"}) {
+        fs::remove(spans_path);
+        ShardRunResult r;
+        {
+            obs::TraceWriter spans(spans_path, "spansunderfold");
+            ropts.trace = &spans;
+            r = runShard(smoke->spec, ropts, 0, 2);
+            ropts.trace = nullptr;
+        }
+        std::ifstream in(spans_path);
+        const std::string text(std::istreambuf_iterator<char>(in), {});
+        ProgressFold fold(plan, {}, {});
+        fold.feed(0, text);
+        const ShardProgress &p = fold.shard(0);
+        EXPECT_EQ(p.points, r.points) << pass;
+        EXPECT_EQ(p.pointsDone, r.points) << pass;
+        EXPECT_EQ(p.cacheHits, r.cacheHits) << pass;
+        EXPECT_EQ(p.stolen.size(), r.stolen) << pass;
+    }
 }
+
+#ifdef SMTSWEEP_BINARY
+
+/** Runs the enclosing scope in another working directory. */
+class WorkingDirectory
+{
+  public:
+    explicit WorkingDirectory(const std::string &path)
+        : home_(fs::current_path())
+    {
+        fs::current_path(path);
+    }
+    ~WorkingDirectory() { fs::current_path(home_); }
+
+    WorkingDirectory(const WorkingDirectory &) = delete;
+    WorkingDirectory &operator=(const WorkingDirectory &) = delete;
+
+  private:
+    fs::path home_;
+};
+
+/** Every file under `root`, recursively and sorted (paths relative
+ *  to it). */
+std::vector<std::string>
+filesUnder(const std::string &root)
+{
+    std::vector<std::string> files;
+    for (const auto &entry : fs::recursive_directory_iterator(root))
+        files.push_back(fs::relative(entry.path(), root).string());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/** Planned points per shard, as the coordinator recorded them. */
+std::vector<std::size_t>
+manifestPoints(const std::string &store_dir, unsigned shards)
+{
+    std::vector<std::size_t> points(shards, 0);
+    const std::optional<sweep::Json> manifest =
+        sweep::openLocalStore(store_dir)->readManifest();
+    EXPECT_TRUE(manifest.has_value());
+    if (!manifest.has_value())
+        return points;
+    const sweep::Json &list = manifest->at("points");
+    for (std::size_t i = 0; i < list.size(); ++i)
+        ++points.at(list[i].at("shard").asUInt());
+    return points;
+}
+
+/**
+ * The coordinator end to end over the smoke grid with two real
+ * `smtsweep` workers — on this host, or through a stub ssh — first
+ * cold and traced, then warm and untraced, from a scratch working
+ * directory.
+ */
+void
+coordinateSmokeSweep(bool over_ssh)
+{
+    const NamedExperiment *smoke = sweep::findExperiment("smoke");
+    ASSERT_NE(smoke, nullptr);
+    sweep::RunnerOptions serial;
+    serial.measure = tinyOptions();
+    serial.measure.parallel = false;
+    const sweep::SweepOutcome reference = runSweep(smoke->spec, serial);
+
+    TempDir dir("coordinator");
+    const std::string store = dir.path() + "/store";
+    const std::string cwd = dir.path() + "/cwd";
+    fs::create_directories(cwd);
+
+    DistOptions opts;
+    opts.shards = 2;
+    opts.jobsPerWorker = 1;
+    opts.smtsweepPath = SMTSWEEP_BINARY;
+    opts.showProgress = false;
+    opts.ropts.measure = tinyOptions();
+    opts.ropts.cacheDir = store;
+    if (over_ssh) {
+        const std::string stub = dir.path() + "/fake-ssh";
+        std::ofstream(stub) << "#!/bin/sh\n"
+                               "# args: -o BatchMode=yes HOST COMMAND\n"
+                               "shift 3\n"
+                               "exec /bin/sh -c \"$1\"\n";
+        ::chmod(stub.c_str(), 0755);
+        opts.hostList = "hostA,hostB";
+        opts.sshProgram = stub;
+    }
+    WorkingDirectory in_cwd(cwd);
+
+    const auto expectMergedMatchesSerial = [&](const DistOutcome &out) {
+        ASSERT_EQ(out.merged.points.size(), reference.points.size());
+        EXPECT_EQ(out.merged.cacheMisses, 0u);
+        for (std::size_t i = 0; i < reference.points.size(); ++i) {
+            EXPECT_EQ(out.merged.points[i].digest,
+                      reference.points[i].digest);
+            EXPECT_EQ(
+                sweep::toJson(out.merged.points[i].data.stats).dump(),
+                sweep::toJson(reference.points[i].data.stats).dump());
+        }
+    };
+
+    // Cold and traced: the coordinator's file alone closes the ledger
+    // and carries both workers' spans.
+    const std::string trace_path = dir.path() + "/trace.jsonl";
+    std::string trace_id;
+    DistOutcome cold;
+    {
+        obs::TraceWriter trace(trace_path);
+        trace_id = trace.traceId();
+        DistOptions traced = opts;
+        traced.ropts.trace = &trace;
+        ASSERT_EQ(runDistributed(*smoke, traced, cold), 0);
+    }
+    expectMergedMatchesSerial(cold);
+    std::vector<std::size_t> planned = manifestPoints(store, 2);
+    ASSERT_EQ(cold.shards.size(), 2u);
+    for (const ShardStatus &s : cold.shards) {
+        EXPECT_TRUE(s.succeeded);
+        EXPECT_EQ(s.points, planned[s.shard]);
+        EXPECT_EQ(s.cacheHits, 0u);
+        EXPECT_EQ(s.stolen, 0u);
+    }
+
+    obs::TraceSet set;
+    std::string error;
+    ASSERT_TRUE(set.addFile(trace_path, &error)) << error;
+    EXPECT_EQ(set.skipped, 0u);
+    const obs::TraceAnalysis analysis = obs::analyzeTrace(set, trace_id);
+    EXPECT_EQ(analysis.nonTerminal, 0u);
+    EXPECT_EQ(analysis.terminalStored, analysis.digests.size());
+    std::set<std::uint64_t> worker_pids;
+    for (const obs::TraceEvent &ev : set.events)
+        if (ev.event == "stored" && ev.trace == trace_id)
+            worker_pids.insert(ev.pid);
+    EXPECT_EQ(worker_pids.size(), 2u);
+    EXPECT_EQ(worker_pids.count(static_cast<std::uint64_t>(::getpid())),
+              0u);
+
+    // Warm and untraced: every point of every shard replays, and no
+    // trace or progress file appears anywhere.
+    const std::vector<std::string> store_files = filesUnder(store);
+    DistOutcome warm;
+    ASSERT_EQ(runDistributed(*smoke, opts, warm), 0);
+    expectMergedMatchesSerial(warm);
+    planned = manifestPoints(store, 2);
+    ASSERT_EQ(warm.shards.size(), 2u);
+    for (const ShardStatus &s : warm.shards) {
+        EXPECT_TRUE(s.succeeded);
+        EXPECT_EQ(s.points, planned[s.shard]);
+        EXPECT_EQ(s.cacheHits, s.points);
+        EXPECT_EQ(s.stolen, 0u);
+    }
+    EXPECT_EQ(warm.workerCacheHits, reference.points.size());
+    EXPECT_TRUE(filesUnder(cwd).empty());
+    EXPECT_EQ(filesUnder(store), store_files);
+    for (const std::string &file : filesUnder(store)) {
+        EXPECT_EQ(file.find("progress"), std::string::npos) << file;
+        EXPECT_EQ(file.find("trace"), std::string::npos) << file;
+        EXPECT_EQ(file.find(".jsonl"), std::string::npos) << file;
+    }
+}
+
+TEST(Coordinator, LocalWorkersMergeBitIdenticalAndReportBySpans)
+{
+    coordinateSmokeSweep(/*over_ssh=*/false);
+}
+
+TEST(Coordinator, SshWorkersMergeBitIdenticalAndReportBySpans)
+{
+    coordinateSmokeSweep(/*over_ssh=*/true);
+}
+
+#endif // SMTSWEEP_BINARY
 
 } // namespace
 } // namespace smt::dist

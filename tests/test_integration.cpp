@@ -67,8 +67,8 @@ TEST(Integration, ThroughputGrowsWithThreads)
 TEST(Integration, IcountCompetitiveWithRoundRobinAtEightThreads)
 {
     // The paper reports ICOUNT clearly ahead of RR; on the synthetic
-    // workload the bottleneck mix differs (see EXPERIMENTS.md), so we
-    // assert ICOUNT is at least competitive and relieves queue pressure.
+    // workload the bottleneck mix differs, so we assert ICOUNT is at
+    // least competitive and relieves queue pressure.
     MeasureOptions opts = fastOptions();
     SmtConfig rr = presets::baseSmt(8);
     presets::setFetchPartition(rr, 2, 8);

@@ -4,10 +4,11 @@
  * round-trips (Content-Length and chunked framing, keep-alive, torn
  * connections), RemoteResultStore semantics matching LocalDirStore
  * (hit / miss / corrupt-entry, markers, claim CAS, manifest, observed
- * costs) against an in-process smtstore service, the ssh launcher's
- * command construction and capture path (via a stub ssh), and the
- * acceptance bar — a 2-shard sweep whose workers talk only to the
- * store over loopback HTTP merges bit-identical to a serial run.
+ * costs) against an in-process smtstore service, the worker
+ * launcher's ssh command construction and capture path (via a stub
+ * ssh), and the acceptance bar — a 2-shard sweep whose workers talk
+ * only to the store over loopback HTTP merges bit-identical to a
+ * serial run.
  */
 
 #include <gtest/gtest.h>
@@ -18,13 +19,15 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
+#include <string_view>
 #include <thread>
 
 #include "common/lz.hh"
 
 #include "dist/shard.hh"
-#include "dist/ssh_launcher.hh"
+#include "dist/launcher.hh"
 #include "net/http.hh"
 #include "obs/trace.hh"
 #include "obs/trace_analysis.hh"
@@ -767,7 +770,15 @@ TEST_F(RemoteStoreTest, TraceIngestPersistsSpansVerbatimPerId)
 
 TEST_F(AuthStoreTest, AccessLogRecordsEveryExchangeWithItsTraceId)
 {
+    // Without a log the service serves as usual and records nothing:
+    // this exchange appears nowhere below.
     const std::string log_path = dir_.path() + "/access.jsonl";
+    const std::optional<net::HttpResponse> unlogged =
+        rawGet("/v1/ping", "Bearer " + token_);
+    ASSERT_TRUE(unlogged.has_value());
+    EXPECT_EQ(unlogged->status, 200);
+    EXPECT_FALSE(fs::exists(log_path));
+
     std::string log_error;
     ASSERT_TRUE(service_.setAccessLog(log_path, &log_error))
         << log_error;
@@ -1078,7 +1089,7 @@ TEST(SshLauncher, ShellQuotingAndCommandConstruction)
     EXPECT_TRUE(dist::parseHostList("").empty());
 }
 
-TEST(SshLauncher, CapturesHeartbeatsAndForwardsOutput)
+TEST(SshLauncher, CapturesWorkerOutputAndExitCode)
 {
     // A stub ssh that ignores its host and runs the command locally:
     // the whole pipe/capture path works without an sshd.
@@ -1093,27 +1104,22 @@ TEST(SshLauncher, CapturesHeartbeatsAndForwardsOutput)
     }
     ::chmod(stub.c_str(), 0755);
 
-    dist::SshWorkerLauncher launcher({"ignored-host"}, stub);
-    EXPECT_TRUE(launcher.capturesProgress());
-
-    const std::string heartbeat =
-        "{\"shard\":0,\"done\":3,\"total\":4,\"hits\":1,\"stolen\":2,"
-        "\"wall\":0.5,\"finished\":true}";
+    // stdout and stderr share one capture, tagged with the shard.
+    std::map<unsigned, std::string> captured;
+    dist::WorkerLauncher launcher(
+        {"hostA", "hostB"}, stub,
+        [&captured](unsigned shard, std::string_view bytes) {
+            captured[shard].append(bytes);
+        });
     const long handle = launcher.launch(
-        0, {"/bin/sh", "-c",
-            "echo '" + heartbeat + "'; echo not-a-record; exit 7"});
+        1, {"/bin/sh", "-c", "echo '{\"event\": \"hit\"}'; "
+                             "echo not-a-span >&2; exit 7"});
 
     int exit_code = -1;
     launcher.wait(handle, exit_code);
     EXPECT_EQ(exit_code, 7);
-
-    dist::ProgressRecord rec;
-    ASSERT_TRUE(launcher.latestProgress(handle, rec));
-    EXPECT_EQ(rec.pointsDone, 3u);
-    EXPECT_EQ(rec.pointsTotal, 4u);
-    EXPECT_EQ(rec.cacheHits, 1u);
-    EXPECT_EQ(rec.stolen, 2u);
-    EXPECT_TRUE(rec.finished);
+    EXPECT_EQ(captured.size(), 1u);
+    EXPECT_EQ(captured[1], "{\"event\": \"hit\"}\nnot-a-span\n");
 }
 
 TEST(SshLauncher, StoreTokenRidesStdinAndNeverArgv)
@@ -1167,7 +1173,7 @@ TEST(SshLauncher, StoreTokenRidesStdinAndNeverArgv)
     }
     ::chmod(stub.c_str(), 0755);
 
-    dist::SshWorkerLauncher launcher({"ignored-host"}, stub);
+    dist::WorkerLauncher launcher({"ignored-host"}, stub);
     launcher.setStoreToken(token);
     const long handle = launcher.launch(
         0, {"/bin/sh", "-c",
@@ -1368,6 +1374,58 @@ TEST(RemoteStore, TracedShardedSweepClosesTheLedgerOverLoopback)
     EXPECT_EQ(summary.at("schema").asString(), "smt-trace-v1");
     EXPECT_EQ(summary.at("digests").at("nonTerminal").asUInt(), 0u);
     EXPECT_EQ(summary.at("digests").at("total").asUInt(), total_points);
+}
+
+TEST(RemoteStore, UntracedShardSpansStayOffTheStore)
+{
+    // A shard worker of an untraced sweep still streams its spans (its
+    // report to the coordinator), but with no trace id: the store must
+    // see neither an X-Smt-Trace header nor a POST /v1/trace.
+    const sweep::NamedExperiment *smoke =
+        sweep::findExperiment("smoke");
+    ASSERT_NE(smoke, nullptr);
+
+    TempDir dir("untraced");
+    sweep::StoreService service(dir.path() + "/store");
+    const std::string access_path = dir.path() + "/access.jsonl";
+    ASSERT_TRUE(service.setAccessLog(access_path));
+    net::HttpServer server;
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1", 0,
+                             [&service](const net::HttpRequest &req) {
+                                 return service.handle(req);
+                             },
+                             &error))
+        << error;
+
+    const std::string spans_path = dir.path() + "/spans.jsonl";
+    std::FILE *stream = std::fopen(spans_path.c_str(), "w");
+    ASSERT_NE(stream, nullptr);
+    {
+        obs::TraceWriter spans(stream, "");
+        sweep::RunnerOptions opts;
+        opts.measure = tinyOptions();
+        opts.cacheDir =
+            "http://127.0.0.1:" + std::to_string(server.port());
+        opts.trace = &spans;
+        EXPECT_GT(dist::runShard(smoke->spec, opts, 0, 2).points, 0u);
+    }
+    std::fclose(stream);
+
+    obs::TraceSet streamed;
+    ASSERT_TRUE(streamed.addFile(spans_path, &error)) << error;
+    EXPECT_FALSE(streamed.events.empty());
+    for (const obs::TraceEvent &ev : streamed.events)
+        EXPECT_EQ(ev.trace, "");
+
+    EXPECT_FALSE(fs::exists(dir.path() + "/store/traces"));
+    obs::TraceSet access;
+    ASSERT_TRUE(access.addFile(access_path, &error)) << error;
+    ASSERT_FALSE(access.access.empty());
+    for (const obs::AccessRecord &rec : access.access) {
+        EXPECT_NE(rec.route, "trace");
+        EXPECT_EQ(rec.trace, "");
+    }
 }
 
 } // namespace

@@ -87,14 +87,13 @@ usage(int code)
         "  --warmup N          warmup cycles per run\n"
         "  --runs N            rotation runs per data point\n"
         "  --serial            workers run their points serially\n"
-        "  --trace-out FILE    append JSONL trace spans to FILE. Every\n"
-        "                      worker is launched with a --trace-out of\n"
-        "                      its own under the coordinator's trace id:\n"
-        "                      local workers append to FILE itself,\n"
-        "                      --hosts workers write FILE.shardN on\n"
-        "                      their host and (with --store-url) flush\n"
-        "                      spans to the server's /v1/trace capture.\n"
-        "                      Analyze the merged trace with smttrace\n"
+        "  --trace-out FILE    append JSONL trace spans to FILE: the\n"
+        "                      coordinator's own and, verbatim, every\n"
+        "                      span its workers stream back (local or\n"
+        "                      --hosts), all under one trace id; with\n"
+        "                      --store-url workers also flush theirs to\n"
+        "                      the server's /v1/trace capture. FILE\n"
+        "                      alone is a complete profile for smttrace\n"
         "  --no-progress       no live progress line on stderr\n"
         "  --status            audit the store manifest and exit\n"
         "  --verbose           verbose workers + per-point cache logs\n"

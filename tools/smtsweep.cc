@@ -81,11 +81,9 @@ usage(int code)
         "  --jobs N            worker threads for the shared pool\n"
         "  --serial            run data points serially (no pool)\n"
         "  --shard I/N         run only shard I of N into the shared\n"
-        "                      store (the smtsweep-dist worker protocol;\n"
-        "                      no report is printed)\n"
-        "  --progress-file P   append JSONL heartbeat records to P\n"
-        "  --progress-stdout   heartbeat to stdout instead (remote\n"
-        "                      workers; the coordinator captures it)\n"
+        "                      store (the smtsweep-dist worker protocol:\n"
+        "                      no report; its trace spans stream to\n"
+        "                      stdout, where the coordinator folds them)\n"
         "  --steal             after the shard: adopt orphaned digests\n"
         "                      of dead shards via the store claim CAS\n"
         "  --steal-wait S      grace seconds to linger for orphans\n"
@@ -243,10 +241,6 @@ main(int argc, char **argv)
             parseShardSpec(next_arg(i), wopts.index, shard_count);
             wopts.count = shard_count;
         }
-        else if (std::strcmp(arg, "--progress-file") == 0)
-            wopts.progressPath = next_arg(i);
-        else if (std::strcmp(arg, "--progress-stdout") == 0)
-            wopts.progressToStdout = true;
         else if (std::strcmp(arg, "--steal") == 0)
             wopts.steal.enabled = true;
         else if (std::strcmp(arg, "--steal-wait") == 0) {
@@ -319,6 +313,12 @@ main(int argc, char **argv)
         }
     }
 
+    if (shard_count > 0 && !trace_out.empty()) {
+        std::fprintf(stderr, "smtsweep: --shard streams its trace spans "
+                             "to stdout; drop --trace-out\n");
+        return usage(2);
+    }
+
     // Token precedence: explicit flag, then file, then the
     // environment (how a coordinator hands it to its workers without
     // touching their argv).
@@ -326,8 +326,7 @@ main(int argc, char **argv)
         resolveStoreToken(store_token, store_token_file);
 
     // The trace writer must outlive every sweep below; its id comes
-    // from SMTSWEEP_TRACE_ID when a coordinator launched us, else a
-    // fresh one is minted.
+    // from SMTSWEEP_TRACE_ID when set, else a fresh one is minted.
     std::unique_ptr<smt::obs::TraceWriter> trace;
     if (!trace_out.empty()) {
         trace = std::make_unique<smt::obs::TraceWriter>(trace_out);
@@ -407,6 +406,14 @@ main(int argc, char **argv)
                                  "store; do not pass --no-cache\n");
             return usage(2);
         }
+        // The runner's spans are the worker's only report. They join
+        // the sweep's trace when the coordinator exports one; without
+        // it they carry no trace id, which keeps them out of the
+        // store's access log and /v1/trace capture.
+        const char *trace_id = std::getenv(smt::obs::kTraceEnvVar);
+        smt::obs::TraceWriter spans(stdout,
+                                    trace_id != nullptr ? trace_id : "");
+        ropts.trace = &spans;
         const smt::dist::ShardRunResult r =
             smt::dist::runShard(e->spec, ropts, wopts);
         std::printf("shard %u/%u of %s: %zu points (%zu hits, "
