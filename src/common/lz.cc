@@ -26,14 +26,16 @@ hash3(const unsigned char *p)
     return (v * 2654435761u) >> 19; // 13-bit table index.
 }
 
-void
-putUvarint(std::string &out, std::uint64_t v)
+/** Write `v` as a uvarint at `out`; returns the byte past it. */
+unsigned char *
+putUvarint(unsigned char *out, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+        *out++ = static_cast<unsigned char>((v & 0x7f) | 0x80);
         v >>= 7;
     }
-    out.push_back(static_cast<char>(v));
+    *out++ = static_cast<unsigned char>(v);
+    return out;
 }
 
 bool
@@ -57,35 +59,42 @@ getUvarint(const std::string &in, std::size_t &pos, std::uint64_t &v)
 std::string
 lzCompress(const std::string &in)
 {
-    std::string out;
-    out.reserve(in.size() / 2 + 16);
-    out.append(kMagic, sizeof kMagic);
-    putUvarint(out, in.size());
+    const std::size_t n = in.size();
+    // The worst case is all literals: the header (magic + a uvarint of
+    // at most 10 bytes), n literal bytes and one control byte per 8.
+    std::string out(sizeof kMagic + 10 + n + (n + 7) / 8, '\0');
+    unsigned char *const base =
+        reinterpret_cast<unsigned char *>(out.data());
+    std::memcpy(base, kMagic, sizeof kMagic);
+    unsigned char *op = putUvarint(base + sizeof kMagic, n);
 
     const unsigned char *data =
         reinterpret_cast<const unsigned char *>(in.data());
-    const std::size_t n = in.size();
 
     // One candidate per 3-byte hash (the newest occurrence): cheap,
-    // and plenty for the protocol's repetitive JSON bodies.
-    std::size_t head[1u << 13];
-    for (std::size_t &h : head)
-        h = SIZE_MAX;
+    // and plenty for the protocol's repetitive JSON bodies. Entries
+    // hold position + 1 (mod 2^32), so 0 means empty; a candidate is
+    // only used inside the window and is verified byte by byte.
+    std::uint32_t head[1u << 13] = {};
 
     std::size_t pos = 0;
     while (pos < n) {
-        // Gather up to 8 tokens, then emit their control byte first.
-        unsigned char control = 0;
-        std::string tokens;
+        // Up to 8 tokens follow their control byte, which is patched
+        // in place as the tokens are chosen.
+        unsigned char *const control = op++;
+        *control = 0;
         for (unsigned bit = 0; bit < 8 && pos < n; ++bit) {
             std::size_t match_len = 0;
             std::size_t match_off = 0;
             if (pos + kMinMatch <= n) {
                 const std::uint32_t h = hash3(data + pos);
-                const std::size_t cand = head[h];
-                head[h] = pos;
-                if (cand != SIZE_MAX && cand < pos
-                    && pos - cand < kWindow) {
+                const std::uint32_t here =
+                    static_cast<std::uint32_t>(pos + 1);
+                const std::uint32_t off = here - head[h];
+                const bool seen = head[h] != 0;
+                head[h] = here;
+                if (seen && off < kWindow) {
+                    const std::size_t cand = pos - off;
                     const std::size_t limit =
                         std::min(kMaxMatch, n - pos);
                     std::size_t len = 0;
@@ -94,26 +103,24 @@ lzCompress(const std::string &in)
                         ++len;
                     if (len >= kMinMatch) {
                         match_len = len;
-                        match_off = pos - cand;
+                        match_off = off;
                     }
                 }
             }
             if (match_len > 0) {
-                control |= static_cast<unsigned char>(1u << bit);
+                *control |= static_cast<unsigned char>(1u << bit);
                 const std::uint16_t word = static_cast<std::uint16_t>(
                     (match_off << 4)
                     | (match_len - kMinMatch));
-                tokens.push_back(static_cast<char>(word & 0xff));
-                tokens.push_back(static_cast<char>(word >> 8));
+                *op++ = static_cast<unsigned char>(word & 0xff);
+                *op++ = static_cast<unsigned char>(word >> 8);
                 pos += match_len;
             } else {
-                tokens.push_back(static_cast<char>(data[pos]));
-                ++pos;
+                *op++ = data[pos++];
             }
         }
-        out.push_back(static_cast<char>(control));
-        out += tokens;
     }
+    out.resize(static_cast<std::size_t>(op - base));
     return out;
 }
 
@@ -129,24 +136,25 @@ lzDecompress(const std::string &in, std::size_t max_size)
     // token group — control byte + 8 two-byte matches — yields at
     // most 144), so a declared size beyond 9n is malformed on its
     // face. Rejecting it here keeps a tiny hostile header from
-    // reserving max_size bytes before the stream is ever validated.
+    // allocating max_size bytes before the stream is ever validated.
     if (!getUvarint(in, pos, declared) || declared > max_size
         || declared > in.size() * 9)
         return std::nullopt;
 
-    std::string out;
-    out.reserve(static_cast<std::size_t>(declared));
-    while (out.size() < declared) {
+    const std::size_t end = static_cast<std::size_t>(declared);
+    std::string out(end, '\0');
+    char *const base = out.data();
+    std::size_t size = 0; // bytes decoded so far.
+    while (size < end) {
         if (pos >= in.size())
             return std::nullopt; // truncated stream.
         const unsigned char control =
             static_cast<unsigned char>(in[pos++]);
-        for (unsigned bit = 0; bit < 8 && out.size() < declared;
-             ++bit) {
+        for (unsigned bit = 0; bit < 8 && size < end; ++bit) {
             if ((control & (1u << bit)) == 0) {
                 if (pos >= in.size())
                     return std::nullopt;
-                out.push_back(in[pos++]);
+                base[size++] = in[pos++];
                 continue;
             }
             if (pos + 2 > in.size())
@@ -157,15 +165,20 @@ lzDecompress(const std::string &in, std::size_t max_size)
             pos += 2;
             const std::size_t off = word >> 4;
             const std::size_t len = (word & 0xf) + kMinMatch;
-            if (off == 0 || off > out.size()
-                || out.size() + len > declared)
+            if (off == 0 || off > size || size + len > end)
                 return std::nullopt; // offset outside the window, or
                                      // a copy past the declared end.
-            // Byte-at-a-time: matches may overlap their own output
-            // (the classic run-length case).
-            const std::size_t start = out.size() - off;
-            for (std::size_t i = 0; i < len; ++i)
-                out.push_back(out[start + i]);
+            char *const dst = base + size;
+            const char *const src = dst - off;
+            if (off >= len) {
+                std::memcpy(dst, src, len);
+            } else {
+                // The copy overlaps its own output (the classic
+                // run-length case): byte by byte.
+                for (std::size_t i = 0; i < len; ++i)
+                    dst[i] = src[i];
+            }
+            size += len;
         }
     }
     if (pos != in.size())

@@ -2,9 +2,8 @@
 
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -98,7 +97,7 @@ Json::operator[](std::size_t idx) const
 }
 
 void
-Json::set(const std::string &key, Json v)
+Json::set(std::string key, Json v)
 {
     smt_assert(type_ == Type::Object);
     for (auto &[k, old] : object_) {
@@ -107,7 +106,7 @@ Json::set(const std::string &key, Json v)
             return;
         }
     }
-    object_.emplace_back(key, std::move(v));
+    object_.emplace_back(std::move(key), std::move(v));
 }
 
 bool
@@ -162,7 +161,13 @@ void
 dumpString(std::string &out, const std::string &s)
 {
     out += '"';
-    for (char c : s) {
+    std::size_t run = 0; // start of the pending run of plain bytes.
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -171,18 +176,16 @@ dumpString(std::string &out, const std::string &s)
           case '\t': out += "\\t"; break;
           case '\b': out += "\\b"; break;
           case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            out += buf;
+          }
         }
     }
+    out.append(s, run, s.size() - run);
     out += '"';
 }
 
@@ -207,18 +210,18 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Type::UInt:
-        std::snprintf(buf, sizeof buf, "%" PRIu64, uint_);
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, uint_).ptr);
         break;
       case Type::Int:
         out += '-';
-        std::snprintf(buf, sizeof buf, "%" PRIu64, uint_);
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, uint_).ptr);
         break;
       case Type::Double:
-        // %.17g round-trips every finite double exactly.
-        std::snprintf(buf, sizeof buf, "%.17g", double_);
-        out += buf;
+        // Specified as printf's %.17g, which round-trips every finite
+        // double exactly.
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, double_,
+                                      std::chars_format::general, 17)
+                            .ptr);
         break;
       case Type::String:
         dumpString(out, string_);
@@ -294,11 +297,17 @@ class Parser
     }
 
   private:
+    /** The six bytes isspace() accepts in the C locale. */
+    static bool
+    isSpace(char c)
+    {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    }
+
     void
     skipSpace()
     {
-        while (pos_ < text_.size()
-               && std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && isSpace(text_[pos_]))
             ++pos_;
     }
 
@@ -345,13 +354,16 @@ class Parser
             return false;
         ++pos_;
         while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
+            // Append the run up to the next quote or escape at once.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"'
+                   && text_[pos_] != '\\')
+                ++pos_;
+            s.append(text_, run, pos_ - run);
+            if (pos_ >= text_.size())
+                return false;
+            if (text_[pos_++] == '"')
                 return true;
-            if (c != '\\') {
-                s += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 return false;
             const char esc = text_[pos_++];
@@ -413,7 +425,7 @@ class Parser
         }
         while (pos_ < text_.size()) {
             const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
+            if (c >= '0' && c <= '9') {
                 ++pos_;
             } else if (c == '.' || c == 'e' || c == 'E' || c == '+'
                        || c == '-') {
@@ -425,26 +437,27 @@ class Parser
         }
         if (pos_ == start + (negative ? 1u : 0u))
             return false;
-        const std::string token = text_.substr(start, pos_ - start);
+        // The token is text_[start, pos_), read in place: strtod must
+        // stop exactly at its end, and from_chars sees only digits.
+        const char *const first = text_.data() + start;
+        const char *const last = text_.data() + pos_;
         if (floating) {
             char *end = nullptr;
             errno = 0;
-            const double v = std::strtod(token.c_str(), &end);
+            const double v = std::strtod(first, &end);
             // Reject overflow ("1e999") rather than round-tripping an
             // inf that dump() could never re-emit as valid JSON.
-            if (end == nullptr || *end != '\0' || errno == ERANGE
-                || !std::isfinite(v))
+            if (end != last || errno == ERANGE || !std::isfinite(v))
                 return false;
             out = Json(v);
             return true;
         }
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t mag = std::strtoull(
-            token.c_str() + (negative ? 1 : 0), &end, 10);
+        std::uint64_t mag = 0;
+        const std::from_chars_result res =
+            std::from_chars(first + (negative ? 1 : 0), last, mag);
         // An integer beyond 64 bits is malformed, not clamped: exact
         // integer round-tripping is the type's contract.
-        if (end == nullptr || *end != '\0' || errno == ERANGE)
+        if (res.ptr != last || res.ec != std::errc())
             return false;
         if (!negative) {
             out = Json(mag);
@@ -515,7 +528,7 @@ class Parser
             skipSpace();
             if (!parseValue(v))
                 return false;
-            obj.set(key, std::move(v));
+            obj.set(std::move(key), std::move(v));
             skipSpace();
             if (pos_ >= text_.size())
                 return false;

@@ -72,7 +72,7 @@ class Json
 
     // ---- Objects (insertion-ordered) ------------------------------------
     /** Set a key (replaces in place if present, else appends). */
-    void set(const std::string &key, Json v);
+    void set(std::string key, Json v);
     bool has(const std::string &key) const;
     /** Fetch a key; fatal if absent (cache files name their digest). */
     const Json &at(const std::string &key) const;

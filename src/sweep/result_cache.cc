@@ -1,9 +1,12 @@
 #include "sweep/result_cache.hh"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -88,7 +91,9 @@ ResultCache::lookup(const std::string &digest) const
     Json entry;
     if (!Json::readFile(entryPath(digest), entry)
         || entry.type() != Json::Type::Object || !entry.has("digest")
-        || !entry.has("stats") || entry.at("digest").asString() != digest)
+        || !entry.has("stats")
+        || entry.at("digest").type() != Json::Type::String
+        || entry.at("digest").asString() != digest)
         return std::nullopt;
 
     SimStats stats;
@@ -139,12 +144,68 @@ ResultCache::observedCost(const std::string &digest) const
     return seconds;
 }
 
+EntryFile::EntryFile(EntryFile &&other) noexcept
+    : fd_(other.fd_), identity_(other.identity_)
+{
+    other.fd_ = -1;
+}
+
+EntryFile::~EntryFile()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
 std::optional<std::string>
-ResultCache::readEntryText(const std::string &digest) const
+EntryFile::read() const
+{
+    std::string text(identity_.size, '\0');
+    std::size_t got = 0;
+    while (got < text.size()) {
+        const ssize_t n = ::pread(fd_, text.data() + got,
+                                  text.size() - got,
+                                  static_cast<off_t>(got));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            return std::nullopt;
+        if (n == 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    text.resize(got);
+    return text;
+}
+
+std::optional<EntryFile>
+ResultCache::openEntry(const std::string &digest) const
 {
     if (!looksLikeDigest(digest))
         return std::nullopt;
-    return readFileBytes(entryPath(digest));
+    const int fd = ::open(entryPath(digest).c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return std::nullopt;
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+        ::close(fd);
+        return std::nullopt;
+    }
+    EntryFile::Identity id;
+    id.device = static_cast<std::uint64_t>(st.st_dev);
+    id.inode = static_cast<std::uint64_t>(st.st_ino);
+    id.size = static_cast<std::uint64_t>(st.st_size);
+    id.mtimeNs = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000
+                 + st.st_mtim.tv_nsec;
+    return EntryFile(fd, id);
+}
+
+std::optional<std::string>
+ResultCache::readEntryText(const std::string &digest) const
+{
+    const std::optional<EntryFile> file = openEntry(digest);
+    if (!file.has_value())
+        return std::nullopt;
+    return file->read();
 }
 
 bool

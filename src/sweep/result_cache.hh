@@ -37,6 +37,47 @@ Json makeEntryJson(const std::string &digest, const SmtConfig &cfg,
                    const MeasureOptions &opts, const SimStats &stats,
                    double measure_seconds = 0.0);
 
+/**
+ * An entry file open for reading. Its identity and its bytes come from
+ * one descriptor, so both describe the same inode however the name is
+ * replaced meanwhile.
+ */
+class EntryFile
+{
+  public:
+    /** What makes two opens the same file. Every writer replaces an
+     *  entry by temp + rename, so a rewrite is a new inode. */
+    struct Identity
+    {
+        std::uint64_t device = 0;
+        std::uint64_t inode = 0;
+        std::uint64_t size = 0;
+        std::int64_t mtimeNs = 0;
+
+        bool operator==(const Identity &) const = default;
+    };
+
+    EntryFile(EntryFile &&other) noexcept;
+    EntryFile &operator=(EntryFile &&) = delete;
+    ~EntryFile();
+
+    /** From fstat(2) on the open descriptor. */
+    const Identity &identity() const { return identity_; }
+
+    /** The file's bytes; nullopt on a read error. */
+    std::optional<std::string> read() const;
+
+  private:
+    friend class ResultCache;
+    EntryFile(int fd, const Identity &identity)
+        : fd_(fd), identity_(identity)
+    {
+    }
+
+    int fd_;
+    Identity identity_;
+};
+
 /** A directory of digest-named measurement results. */
 class ResultCache
 {
@@ -72,6 +113,8 @@ class ResultCache
      */
     std::optional<std::string> readEntryText(const std::string &digest)
         const;
+    /** Open an entry for reading; nullopt when absent or unreadable. */
+    std::optional<EntryFile> openEntry(const std::string &digest) const;
     bool writeEntryText(const std::string &digest,
                         const std::string &text) const;
 

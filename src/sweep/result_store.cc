@@ -328,19 +328,21 @@ LocalDirStore::description() const
 }
 
 MarkerHeartbeat::MarkerHeartbeat(ResultStore &store, double ttl_seconds)
-    : store_(store), ttl_(ttl_seconds),
-      thread_([this] { loop(); })
+    : store_(store), ttl_(ttl_seconds)
 {
 }
 
 MarkerHeartbeat::~MarkerHeartbeat()
 {
+    std::thread thread;
     {
         std::lock_guard<std::mutex> lock(mu_);
         stop_ = true;
+        thread = std::move(thread_);
     }
     cv_.notify_all();
-    thread_.join();
+    if (thread.joinable())
+        thread.join();
 }
 
 void
@@ -348,6 +350,10 @@ MarkerHeartbeat::add(const std::string &digest)
 {
     std::lock_guard<std::mutex> lock(mu_);
     live_.insert(digest);
+    // The first marker to refresh starts the thread, so a sweep that
+    // marks nothing (a cache replay) starts none.
+    if (!thread_.joinable())
+        thread_ = std::thread([this] { loop(); });
 }
 
 void

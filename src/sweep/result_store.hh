@@ -244,9 +244,10 @@ class LocalDirStore final : public ResultStore
  * thread that re-marks every digest added (and not yet removed) as
  * in-progress every ttl/3 seconds, so a live worker's markers never
  * expire however long its measurements run — and a dead worker's
- * markers expire on their own, visible to every peer. The store must
- * outlive the heartbeat; its operations must be thread-safe (both
- * implementations are).
+ * markers expire on their own, visible to every peer. The thread
+ * starts with the first add(), so a heartbeat that never has a marker
+ * to refresh costs no thread. The store must outlive the heartbeat;
+ * its operations must be thread-safe (both implementations are).
  */
 class MarkerHeartbeat
 {
@@ -273,7 +274,7 @@ class MarkerHeartbeat
     std::condition_variable cv_;
     std::set<std::string> live_;
     bool stop_ = false;
-    std::thread thread_;
+    std::thread thread_; ///< started by the first add().
 };
 
 /**

@@ -60,6 +60,17 @@ v1Segments(const std::string &target)
     return segments;
 }
 
+/** The ETag header value for entry bytes: their quoted content
+ *  digest. */
+std::string
+quotedEtag(const std::string &text)
+{
+    std::string tag = contentDigest(text);
+    tag.insert(tag.begin(), '"');
+    tag.push_back('"');
+    return tag;
+}
+
 /** The metric label for a request: its /v1 resource kind. */
 std::string
 routeLabel(const std::string &target)
@@ -98,6 +109,109 @@ StoreService::StoreService(const std::string &dir, bool verbose,
                            std::string token)
     : store_(dir), verbose_(verbose), token_(std::move(token))
 {
+    // Exported from the start, so a snapshot can be diffed from zero.
+    metrics_.counter("store.entries.memo_hits");
+    metrics_.gauge("store.entries.memo_bytes");
+}
+
+std::size_t
+StoreService::MemoRecord::cost(const std::string &digest) const
+{
+    return digest.size() + etag.size() + lz.size()
+           + sizeof(std::pair<const std::string, MemoRecord>)
+           + 2 * sizeof(void *); // the node's link and cached hash.
+}
+
+std::optional<StoreService::MemoRecord>
+StoreService::recall(const std::string &digest,
+                     const EntryFile::Identity &file)
+{
+    std::lock_guard<std::mutex> lock(memoMu_);
+    const auto it = memo_.find(digest);
+    if (it == memo_.end() || !(it->second.file == file))
+        return std::nullopt;
+    return it->second;
+}
+
+void
+StoreService::remember(const std::string &digest, MemoRecord record)
+{
+    record.lz.shrink_to_fit(); // the budget counts lengths.
+    const std::size_t cost = record.cost(digest);
+    std::lock_guard<std::mutex> lock(memoMu_);
+    if (const auto old = memo_.find(digest); old != memo_.end()) {
+        memoBytes_ -= old->second.cost(digest);
+        memo_.erase(old);
+    }
+    // No eviction order: replays fit and churn reads each digest once,
+    // so a full memo simply starts over.
+    if (memoBytes_ + cost > kEntryMemoBudgetBytes) {
+        memo_.clear();
+        memoBytes_ = 0;
+    }
+    if (cost <= kEntryMemoBudgetBytes) {
+        memo_.emplace(digest, std::move(record));
+        memoBytes_ += cost;
+    }
+    metrics_.gauge("store.entries.memo_bytes")
+        .set(static_cast<std::int64_t>(memoBytes_));
+}
+
+net::HttpResponse
+StoreService::serveEntry(const net::HttpRequest &req,
+                         const std::string &digest)
+{
+    const bool get = req.method == "GET";
+    const std::optional<EntryFile> file =
+        store_.cache().openEntry(digest);
+    std::optional<MemoRecord> memo;
+    std::optional<std::string> text;
+    bool remembered = false;
+    if (file.has_value()) {
+        memo = recall(digest, file->identity());
+        remembered = memo.has_value();
+        if (!remembered && (text = file->read()).has_value()) {
+            // The ETag digests the stored (uncompressed) bytes
+            // whatever dressing the transfer wears.
+            memo = MemoRecord{file->identity(), quotedEtag(*text), ""};
+            if (get) {
+                std::string packed = lzCompress(*text);
+                if (packed.size() < text->size())
+                    memo->lz = std::move(packed);
+                remember(digest, *memo);
+            }
+        }
+    }
+    const bool lz_body =
+        get && memo.has_value() && !memo->lz.empty()
+        && req.headers.get("Accept-Encoding").find(kLzEncodingName)
+               != std::string::npos;
+    if (get && memo.has_value() && !lz_body && !text.has_value())
+        text = file->read(); // an identity body needs the bytes.
+    if (!memo.has_value() || (get && !lz_body && !text.has_value())) {
+        metrics_.counter("store.entries.misses").inc();
+        return plain(404);
+    }
+    metrics_.counter("store.entries.hits").inc();
+    if (remembered)
+        metrics_.counter("store.entries.memo_hits").inc();
+
+    net::HttpResponse resp;
+    resp.status = 200;
+    resp.headers.set("Content-Type", "application/json");
+    resp.headers.set("ETag", memo->etag);
+    if (!get) {
+        // The serializer owns Content-Length (a HEAD response has no
+        // body), so advertise the entry size here.
+        resp.headers.set("X-Entry-Size",
+                         std::to_string(file->identity().size));
+    } else if (lz_body) {
+        resp.body = std::move(memo->lz);
+        resp.headers.set("Content-Encoding", kLzEncodingName);
+    } else {
+        resp.body = std::move(*text);
+    }
+    return resp;
 }
 
 bool
@@ -253,12 +367,11 @@ StoreService::handle(const net::HttpRequest &req)
     if (verbose_) {
         // The operator's access log: enough to debug fleet traffic
         // (and line it up with client trace spans) without a rebuild.
-        std::string trace = req.headers.get(obs::kTraceHeader);
-        if (trace.empty())
-            trace = "-";
+        const std::string trace = req.headers.get(obs::kTraceHeader);
         smt_inform("smtstore: %s %s -> %d %zuB %.1fms trace=%s",
                    req.method.c_str(), req.target.c_str(), resp.status,
-                   resp.body.size(), us / 1000.0, trace.c_str());
+                   resp.body.size(), us / 1000.0,
+                   trace.empty() ? "-" : trace.c_str());
     }
     return resp;
 }
@@ -401,43 +514,8 @@ StoreService::dispatch(const net::HttpRequest &req)
     const std::string &digest = path[1];
 
     if (kind == "entries") {
-        if (req.method == "HEAD" || req.method == "GET") {
-            const std::optional<std::string> text =
-                store_.cache().readEntryText(digest);
-            metrics_
-                .counter(text.has_value() ? "store.entries.hits"
-                                          : "store.entries.misses")
-                .inc();
-            if (!text.has_value())
-                return plain(404);
-            net::HttpResponse resp;
-            resp.status = 200;
-            resp.headers.set("Content-Type", "application/json");
-            // The ETag digests the stored (uncompressed) bytes
-            // whatever dressing the transfer wears.
-            resp.headers.set("ETag",
-                             "\"" + contentDigest(*text) + "\"");
-            if (req.method == "GET") {
-                resp.body = *text;
-                const std::string accept =
-                    req.headers.get("Accept-Encoding");
-                if (accept.find(kLzEncodingName)
-                    != std::string::npos) {
-                    std::string packed = lzCompress(*text);
-                    if (packed.size() < text->size()) {
-                        resp.body = std::move(packed);
-                        resp.headers.set("Content-Encoding",
-                                         kLzEncodingName);
-                    }
-                }
-            } else {
-                // The serializer owns Content-Length (a HEAD response
-                // has no body), so advertise the entry size here.
-                resp.headers.set("X-Entry-Size",
-                                 std::to_string(text->size()));
-            }
-            return resp;
-        }
+        if (req.method == "HEAD" || req.method == "GET")
+            return serveEntry(req, digest);
         if (req.method == "PUT") {
             // Undress the transfer first: digests and entry checks
             // always apply to the true bytes, so compression cannot

@@ -69,15 +69,26 @@
  *    decompressed *before* the X-Content-Digest check, so digests
  *    always cover the true entry bytes). /v1/ping advertises the
  *    supported encodings for client negotiation.
+ *
+ * Entry reads are memoized: a GET remembers the ETag and the x-smt-lz
+ * body it computed, keyed by digest and valid while the entry file is
+ * the same file (device, inode, size and mtime, from fstat on the
+ * descriptor the GET opened). A GET or HEAD of an unchanged entry is
+ * then an open, an fstat and a lookup. Writers replace entries by
+ * temp + rename, so a rewrite from any process is a new inode and is
+ * read afresh; a deleted entry is a 404.
  */
 
 #ifndef SMT_SWEEP_STORE_SERVICE_HH
 #define SMT_SWEEP_STORE_SERVICE_HH
 
 #include <chrono>
+#include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "net/http.hh"
 #include "obs/jsonl.hh"
@@ -86,6 +97,11 @@
 
 namespace smt::sweep
 {
+
+/** The entry memo's budget, counting each record's strings at their
+ *  lengths plus its map node. It holds the paper's eight grids (95
+ *  entries, about 240 KB) about twice over. */
+inline constexpr std::size_t kEntryMemoBudgetBytes = 512 * 1024;
 
 class StoreService
 {
@@ -125,8 +141,26 @@ class StoreService
     obs::Registry &metrics() { return metrics_; }
 
   private:
+    /** What a GET of one unchanged entry file sends. */
+    struct MemoRecord
+    {
+        EntryFile::Identity file;
+        std::string etag; ///< the header value, quotes included.
+        std::string lz;   ///< x-smt-lz body; empty when no smaller.
+
+        /** Memory held under `digest`, node included. */
+        std::size_t cost(const std::string &digest) const;
+    };
+
     net::HttpResponse dispatch(const net::HttpRequest &req);
     bool authorized(const net::HttpRequest &req) const;
+
+    /** GET or HEAD /v1/entries/<digest>. */
+    net::HttpResponse serveEntry(const net::HttpRequest &req,
+                                 const std::string &digest);
+    std::optional<MemoRecord> recall(const std::string &digest,
+                                     const EntryFile::Identity &file);
+    void remember(const std::string &digest, MemoRecord record);
 
     void logAccess(const net::HttpRequest &req,
                    const net::HttpResponse &resp, std::uint64_t us,
@@ -141,6 +175,10 @@ class StoreService
     std::unique_ptr<obs::JsonlWriter> accessLog_;
     std::mutex accessMu_; ///< guards accessLog_ (set while serving).
     std::mutex traceMu_;  ///< serializes trace-capture appends only.
+
+    std::mutex memoMu_; ///< guards memo_ and memoBytes_.
+    std::unordered_map<std::string, MemoRecord> memo_;
+    std::size_t memoBytes_ = 0;
 
     obs::Registry metrics_;
     std::chrono::steady_clock::time_point started_ =

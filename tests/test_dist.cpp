@@ -489,6 +489,31 @@ TEST(MarkerTtl, HeartbeatKeepsLeasesFreshUntilRemoved)
     EXPECT_EQ(store->readMarkerText(digest), "");
 }
 
+TEST(MarkerTtl, HeartbeatStartsItsThreadOnTheFirstAdd)
+{
+    TempDir dir("idle-heartbeat");
+    std::unique_ptr<sweep::ResultStore> store =
+        sweep::openLocalStore(dir.path());
+    const auto threads = [] {
+        return std::distance(fs::directory_iterator("/proc/self/task"),
+                             fs::directory_iterator());
+    };
+
+    // A cache replay builds a heartbeat and never marks anything: it
+    // must not pay for a thread.
+    const auto before = threads();
+    {
+        sweep::MarkerHeartbeat idle(*store, 0.3);
+        idle.remove(std::string(32, 'c'));
+        EXPECT_EQ(threads(), before);
+    }
+    EXPECT_EQ(threads(), before);
+
+    sweep::MarkerHeartbeat beating(*store, 0.3);
+    beating.add(std::string(32, 'd'));
+    EXPECT_EQ(threads(), before + 1);
+}
+
 TEST(MarkerTtl, StealLoopAdoptsExpiredLeasesWithoutACoordinator)
 {
     // The cross-host death scenario, coordinator declaration disabled:

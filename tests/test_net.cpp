@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include "dist/shard.hh"
 #include "dist/launcher.hh"
 #include "net/http.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "obs/trace_analysis.hh"
 #include "net/http_client.hh"
@@ -382,6 +384,22 @@ TEST_F(RemoteStoreTest, CorruptEntriesAreMissesNotErrors)
     EXPECT_FALSE(local_->lookup(digest).has_value());
     // A corrupt entry is not done work.
     EXPECT_EQ(remote_->state(digest), sweep::WorkState::Pending);
+
+    // Well-formed JSON with a type-confused digest: a miss on both
+    // sides, and the routes that consult the entry keep the server up.
+    const std::string confused(32, 'b');
+    {
+        std::ofstream out(dir_.path() + "/" + confused + ".json");
+        out << "{\"digest\": 7, \"stats\": {}}";
+    }
+    EXPECT_FALSE(remote_->lookup(confused).has_value());
+    EXPECT_FALSE(local_->lookup(confused).has_value());
+    EXPECT_EQ(remote_->state(confused), sweep::WorkState::Pending);
+    EXPECT_EQ(local_->state(confused), sweep::WorkState::Pending);
+    remote_->markOrphaned(confused);
+    EXPECT_EQ(remote_->state(confused), sweep::WorkState::Orphaned);
+    auto *remote = static_cast<sweep::RemoteResultStore *>(remote_.get());
+    EXPECT_TRUE(remote->ping());
 }
 
 TEST_F(RemoteStoreTest, ServerRejectsDigestMismatchedUploads)
@@ -922,6 +940,147 @@ TEST_F(RemoteStoreTest, CompressedPutIsVerifiedAgainstTrueBytes)
     resp = client.request(req);
     ASSERT_TRUE(resp.has_value());
     EXPECT_EQ(resp->status, 415);
+}
+
+// ---- The entry memo --------------------------------------------------------
+
+/** One entry request over a fresh connection, optionally asking for
+ *  x-smt-lz. */
+std::optional<net::HttpResponse>
+entryRequest(int port, const std::string &method,
+             const std::string &digest, bool lz)
+{
+    net::HttpClient client("127.0.0.1", port);
+    net::HttpRequest req;
+    req.method = method;
+    req.target = "/v1/entries/" + digest;
+    if (lz)
+        req.headers.set("Accept-Encoding", kLzEncodingName);
+    return client.request(req);
+}
+
+TEST_F(RemoteStoreTest, EntryMemoServesUnchangedFilesAndNoticesRewrites)
+{
+    const SmtConfig cfg = presets::baseSmt(1);
+    const MeasureOptions opts = tinyOptions();
+    const std::string digest = sweep::measurementDigest(cfg, opts);
+    const SimStats stats = measure(cfg, opts).stats;
+    local_->store(digest, cfg, opts, stats, 0.5);
+    const sweep::ResultCache &cache =
+        static_cast<sweep::LocalDirStore *>(local_.get())->cache();
+    const std::string bytes = *cache.readEntryText(digest);
+    const std::string etag = "\"" + sweep::contentDigest(bytes) + "\"";
+    obs::Counter &memo_hits =
+        service_.metrics().counter("store.entries.memo_hits");
+
+    // The first GET computes and remembers; the second is a memo hit
+    // with the same body and ETag.
+    const std::optional<net::HttpResponse> first =
+        entryRequest(server_.port(), "GET", digest, true);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_EQ(first->status, 200);
+    EXPECT_EQ(first->headers.get("ETag"), etag);
+    EXPECT_EQ(lzDecompress(first->body, 1 << 20), bytes);
+    const std::uint64_t hits_before = memo_hits.value();
+    const std::optional<net::HttpResponse> second =
+        entryRequest(server_.port(), "GET", digest, true);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(memo_hits.value(), hits_before + 1);
+    EXPECT_EQ(second->body, first->body);
+    EXPECT_EQ(second->headers.get("ETag"), etag);
+    EXPECT_EQ(second->headers.get("Content-Encoding"), kLzEncodingName);
+
+    // Identity GET and HEAD of a remembered entry are unchanged.
+    const std::optional<net::HttpResponse> identity =
+        entryRequest(server_.port(), "GET", digest, false);
+    ASSERT_TRUE(identity.has_value());
+    EXPECT_EQ(identity->body, bytes);
+    EXPECT_EQ(identity->headers.get("ETag"), etag);
+    EXPECT_TRUE(identity->headers.get("Content-Encoding").empty());
+    const std::optional<net::HttpResponse> head =
+        entryRequest(server_.port(), "HEAD", digest, false);
+    ASSERT_TRUE(head.has_value());
+    EXPECT_EQ(head->status, 200);
+    EXPECT_EQ(head->headers.get("ETag"), etag);
+    EXPECT_EQ(head->headers.get("X-Entry-Size"),
+              std::to_string(bytes.size()));
+
+    // Dispatch threads share the memo: concurrent hits all agree.
+    std::vector<std::thread> readers;
+    std::atomic<int> agreed{0};
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&] {
+            for (int i = 0; i < 10; ++i) {
+                const std::optional<net::HttpResponse> r =
+                    entryRequest(server_.port(), "GET", digest, true);
+                if (r.has_value() && r->body == first->body
+                    && r->headers.get("ETag") == etag)
+                    ++agreed;
+            }
+        });
+    }
+    for (std::thread &t : readers)
+        t.join();
+    EXPECT_EQ(agreed.load(), 40);
+
+    // A rewrite by another writer of the directory (temp + rename, so
+    // a new inode) is read afresh: new bytes, new ETag, no memo hit.
+    local_->store(digest, cfg, opts, stats, 2.5);
+    const std::string rewritten = *cache.readEntryText(digest);
+    ASSERT_NE(rewritten, bytes);
+    const std::uint64_t hits_at_rewrite = memo_hits.value();
+    const std::optional<net::HttpResponse> fresh =
+        entryRequest(server_.port(), "GET", digest, true);
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_EQ(memo_hits.value(), hits_at_rewrite);
+    EXPECT_EQ(lzDecompress(fresh->body, 1 << 20), rewritten);
+    EXPECT_EQ(fresh->headers.get("ETag"),
+              "\"" + sweep::contentDigest(rewritten) + "\"");
+    const std::optional<SimStats> hit = remote_->lookup(digest);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(memo_hits.value(), hits_at_rewrite + 1);
+    EXPECT_EQ(sweep::toJson(*hit).dump(), sweep::toJson(stats).dump());
+
+    // A deleted entry is gone, memo or not.
+    fs::remove(dir_.path() + "/" + digest + ".json");
+    for (const char *method : {"GET", "HEAD"}) {
+        const std::optional<net::HttpResponse> gone =
+            entryRequest(server_.port(), method, digest, true);
+        ASSERT_TRUE(gone.has_value());
+        EXPECT_EQ(gone->status, 404) << method;
+    }
+    EXPECT_FALSE(remote_->lookup(digest).has_value());
+}
+
+TEST_F(RemoteStoreTest, EntryMemoStaysWithinItsBudget)
+{
+    // More distinct compressible entries than the budget holds, each
+    // read once: every GET is still right, and the memo never holds
+    // more than its budget.
+    const sweep::ResultCache &cache =
+        static_cast<sweep::LocalDirStore *>(local_.get())->cache();
+    obs::Gauge &memo_bytes =
+        service_.metrics().gauge("store.entries.memo_bytes");
+    std::size_t served = 0;
+    for (int i = 0; served <= 2 * sweep::kEntryMemoBudgetBytes; ++i) {
+        const std::string digest = sweep::digestHex(std::to_string(i));
+        std::string text = "{\n";
+        for (int k = 0; k < 600; ++k)
+            text += "  \"counter." + std::to_string(k) + "\": "
+                    + std::to_string((i + 1) * 7919u * (k + 13)) + ",\n";
+        text += "  \"entry\": " + std::to_string(i) + "\n}\n";
+        ASSERT_TRUE(cache.writeEntryText(digest, text));
+        const std::optional<net::HttpResponse> resp =
+            entryRequest(server_.port(), "GET", digest, true);
+        ASSERT_TRUE(resp.has_value());
+        ASSERT_EQ(lzDecompress(resp->body, 1 << 20), text);
+        ASSERT_EQ(resp->headers.get("ETag"),
+                  "\"" + sweep::contentDigest(text) + "\"");
+        served += resp->body.size();
+        EXPECT_GT(memo_bytes.value(), 0);
+        EXPECT_LE(static_cast<std::size_t>(memo_bytes.value()),
+                  sweep::kEntryMemoBudgetBytes);
+    }
 }
 
 TEST(RemoteStore, CorruptCompressedGetBodyIsAMiss)

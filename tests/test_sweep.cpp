@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <random>
 
+#include "common/lz.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
 #include "sweep/json.hh"
@@ -19,6 +20,7 @@
 #include "sweep/runner.hh"
 #include "sweep/serialize.hh"
 #include "sweep/spec.hh"
+#include "sweep/store_service.hh"
 #include "sweep/thread_pool.hh"
 
 namespace smt::sweep
@@ -231,6 +233,169 @@ TEST(Digest, AnyKnobChangeChangesTheDigest)
     EXPECT_EQ(measurementDigest(base, serial), base_digest);
 }
 
+// ---- Golden bytes ----------------------------------------------------------
+//
+// Stores are keyed by measurement digests and served with content
+// digests, so the bytes dump(), lzCompress() and the JSON reader
+// produce are a persistent format: a one-byte drift silently orphans
+// every existing store. The values below were recorded from the
+// snprintf/strtoull JSON implementation and the first SLZ1 codec.
+
+/** A fixed entry-shaped document: a canonical entry whose stats come
+ *  from a formula, so these pins follow the entry format and the
+ *  codec, not the simulator's timing. */
+std::string
+goldenEntryText()
+{
+    SimStats s;
+    s.cycles = 123456789;
+    s.committedInstructions = 246813579;
+    for (std::size_t t = 0; t < kMaxThreads; ++t) {
+        s.committedPerThread[t] = 1000003 * (t + 1);
+        s.stalls.fetchActive[t] = 4000037 * (t + 1);
+    }
+    s.fetchedInstructions = 300000007;
+    s.fetchedWrongPath = 1234567;
+    s.issuedInstructions = 260000003;
+    s.condBranches = 9876543;
+    s.condBranchMispredicts = 456789;
+    s.icache.accesses = 77777777;
+    s.icache.misses = 12345;
+    s.dcache.accesses = 55555555;
+    s.dcache.misses = 234567;
+    s.dcache.bankConflicts = 3456;
+    s.l2.accesses = 246912;
+    s.l2.misses = 8642;
+    for (std::uint64_t v = 0; v < 129; v += 3)
+        s.combinedQueuePopulation.sample(v, v * 17 + 1);
+    const SmtConfig cfg = presets::baseSmt(2);
+    return makeEntryJson(measurementDigest(cfg, tinyOptions()), cfg,
+                         tinyOptions(), s, 0.75)
+               .dump(2)
+           + "\n";
+}
+
+TEST(GoldenBytes, MeasurementDigestsOfFixedConfigs)
+{
+    EXPECT_EQ(measurementDigest(presets::baseSmt(2), tinyOptions()),
+              "8e0733c19248d4c43b8c423eccfebcb2");
+    EXPECT_EQ(measurementDigest(presets::icount28(8), MeasureOptions{}),
+              "956dc87ce2d5ce90fcd3139b3dd09108");
+}
+
+TEST(GoldenBytes, CompressedEntryDigest)
+{
+    const std::string text = goldenEntryText();
+    EXPECT_EQ(text.size(), 6491u);
+    EXPECT_EQ(contentDigest(text), "6e17abf63bfa8c7217482e0f30f49cb9");
+    const std::string packed = lzCompress(text);
+    EXPECT_EQ(packed.size(), 2231u);
+    EXPECT_EQ(contentDigest(packed), "647b15acec140490219c34c099a75cb2");
+}
+
+TEST(GoldenBytes, JsonVerdictsAndRedumps)
+{
+    // Each input's compact re-dump, or nullptr where the reader
+    // rejects it.
+    const std::vector<std::pair<std::string, const char *>> table = {
+        {" \t\n\v\f\r[1 ,\v2\f]\r\n", "[1,2]"},
+        {"\"\\u00e9\"", "\"\xc3\xa9\""},
+        {"\"\\u00E9\\u0041\\u2603\"", "\"\xc3\xa9" "A\xe2\x98\x83\""},
+        {"\"a\\\"b\\\\c\\/d\\n\\r\\t\\b\\f\"",
+         "\"a\\\"b\\\\c/d\\n\\r\\t\\b\\f\""},
+        {std::string("\"\x01\x1f raw\"", 8), "\"\\u0001\\u001f raw\""},
+        {"-0", "0"},
+        {"+1", "1"},
+        {"1.", "1"},
+        {"-.5", "-0.5"},
+        {"1E+2", "100"},
+        {"1e-7", "9.9999999999999995e-08"},
+        {"-1.5e300", "-1.5000000000000001e+300"},
+        {"0.1", "0.10000000000000001"},
+        {"007", "7"},
+        {"18446744073709551615", "18446744073709551615"},
+        {"18446744073709551616", nullptr},
+        {"9223372036854775807", "9223372036854775807"},
+        {"-9223372036854775807", "-9223372036854775807"},
+        {"-9223372036854775808", nullptr},
+        {"-9223372036854775809", nullptr},
+        {"1e-400", nullptr},
+        {"4.9e-324", nullptr},
+        {"1-2", nullptr},
+        {"-", nullptr},
+        {"0x10", nullptr},
+        {"+inf", nullptr},
+        {"{\"a\":1,\"b\":2,\"a\":3}", "{\"a\":3,\"b\":2}"},
+        {"{\"k\":{\"x\":[],\"y\":{}},\"k\":null}", "{\"k\":null}"},
+        {"\"\\u00g9\"", nullptr},
+        {"\"\\u12\"", nullptr},
+        {"\"\\x\"", nullptr},
+        {"[true,false,null]", "[true,false,null]"},
+        {"nulls", nullptr},
+        {"{\"a\" 1}", nullptr},
+    };
+    for (const auto &[in, want] : table) {
+        Json j;
+        const bool ok = Json::parse(in, j);
+        if (want == nullptr) {
+            EXPECT_FALSE(ok) << in;
+        } else {
+            ASSERT_TRUE(ok) << in;
+            EXPECT_EQ(j.dump(), want) << in;
+        }
+    }
+
+    const std::vector<std::pair<double, const char *>> doubles = {
+        {0.1, "0.10000000000000001"},
+        {1.0 / 3.0, "0.33333333333333331"},
+        {-0.0, "-0"},
+        {123.0, "123"},
+        {1e21, "1e+21"},
+        {5e-324, "4.9406564584124654e-324"},
+        {1.7976931348623157e308, "1.7976931348623157e+308"},
+    };
+    for (const auto &[v, want] : doubles)
+        EXPECT_EQ(Json(v).dump(), want) << v;
+    EXPECT_EQ(Json(std::int64_t{INT64_MIN}).dump(), "-9223372036854775808");
+    EXPECT_EQ(Json(std::uint64_t{UINT64_MAX}).dump(), "18446744073709551615");
+
+    Json nested;
+    ASSERT_TRUE(Json::parse("{\"a\":[1,{\"b\":-2.5}],\"c\":{}}", nested));
+    EXPECT_EQ(nested.dump(2), "{\n  \"a\": [\n    1,\n    {\n"
+                              "      \"b\": -2.5\n    }\n  ],\n"
+                              "  \"c\": {}\n}");
+}
+
+TEST(GoldenBytes, DamagedEntryStreamsDecodeAsBefore)
+{
+    // Every truncation and every single-byte flip (three masks) of a
+    // real entry's stream, folded into one transcript: "-" for a
+    // rejection, else the decoded bytes' digest.
+    const std::string packed = lzCompress(goldenEntryText());
+    std::string transcript;
+    std::size_t decoded = 0;
+    const auto record = [&](const std::string &stream) {
+        const std::optional<std::string> out =
+            lzDecompress(stream, 1 << 20);
+        if (out.has_value()) {
+            ++decoded;
+            transcript += digestHex(*out);
+        }
+        transcript += '-';
+    };
+    for (std::size_t cut = 0; cut <= packed.size(); ++cut)
+        record(packed.substr(0, cut));
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+        for (const unsigned mask : {0x01u, 0x5au, 0xffu}) {
+            std::string bent = packed;
+            bent[i] = static_cast<char>(bent[i] ^ mask);
+            record(bent);
+        }
+    }
+    EXPECT_EQ(decoded, 3756u);
+    EXPECT_EQ(digestHex(transcript), "96de75c4a89cd6dad7bb7902f97708a1");
+}
+
 // ---- Spec expansion --------------------------------------------------------
 
 TEST(Spec, Fig5GridExpandsToTheFullCartesianProduct)
@@ -382,6 +547,17 @@ TEST(ResultCache, CorruptEntriesAreMisses)
         std::fclose(f);
     }
     EXPECT_FALSE(cache.lookup(digest).has_value());
+
+    // Well-formed JSON with a type-confused digest is corrupt too.
+    const std::string confused(32, 'b');
+    {
+        std::FILE *f = std::fopen(
+            (dir.path() + "/" + confused + ".json").c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs("{\"digest\": 7, \"stats\": {}}", f);
+        std::fclose(f);
+    }
+    EXPECT_FALSE(cache.lookup(confused).has_value());
 }
 
 // ---- Runner ----------------------------------------------------------------
