@@ -6,7 +6,9 @@
 #  2. every tool the docs name (any `smt...` word) exists in tools/;
 #  3. with a BUILD_DIR: every `--flag` the docs cite appears in some
 #     tool's --help output — the help text is the canonical flag
-#     list, and the docs must not drift from it.
+#     list, and the docs must not drift from it;
+#  4. with a BUILD_DIR: every `--experiment NAME` the docs cite appears
+#     in `smtsweep --list`, the canonical experiment list.
 set -u
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -80,6 +82,19 @@ if [ -n "$build" ]; then
             fi
         done < <(grep -ohE '(^|[^a-zA-Z-])--[a-z][a-z-]+' "$f" \
                  | grep -oE -- '--[a-z][a-z-]+' | sort -u)
+    done
+
+    # 4. Experiments cited in the docs are registered.
+    experiments="$("$build/smtsweep" --list | awk '{print $1}')"
+    for f in "${docs[@]}"; do
+        while IFS= read -r name; do
+            if ! printf '%s\n' "$experiments" | grep -qxF -- "$name"; then
+                echo "experiment cited in ${f#"$repo"/} missing from" \
+                     "smtsweep --list: $name"
+                fail=1
+            fi
+        done < <(grep -ohE -- '--experiment +[A-Za-z0-9_.-]+' "$f" \
+                 | awk '{print $2}' | sort -u)
     done
 fi
 

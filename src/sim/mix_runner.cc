@@ -1,6 +1,9 @@
 #include "sim/mix_runner.hh"
 
+#include <charconv>
+#include <climits>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <vector>
 
@@ -55,21 +58,36 @@ MeasureOptions
 defaultMeasureOptions()
 {
     MeasureOptions opts;
-    if (const char *env = std::getenv("SMTSIM_CYCLES"); env != nullptr)
-        opts.cyclesPerRun = std::strtoull(env, nullptr, 10);
-    if (const char *env = std::getenv("SMTSIM_WARMUP"); env != nullptr)
-        opts.warmupCycles = std::strtoull(env, nullptr, 10);
-    if (const char *env = std::getenv("SMTSIM_RUNS"); env != nullptr) {
-        const unsigned runs =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (runs >= 1)
-            opts.runs = runs;
-        else
-            smt_warn("ignoring SMTSIM_RUNS=%s", env);
-    }
+    // An unusable value warns and keeps the default.
+    const auto env = [](const char *name, std::uint64_t fallback,
+                        std::uint64_t min, std::uint64_t max) {
+        const char *text = std::getenv(name);
+        if (text == nullptr)
+            return fallback;
+        const std::optional<std::uint64_t> n = parseWholeNumber(text);
+        if (n && *n >= min && *n <= max)
+            return *n;
+        smt_warn("ignoring %s=%s", name, text);
+        return fallback;
+    };
+    opts.cyclesPerRun = env("SMTSIM_CYCLES", opts.cyclesPerRun, 1, UINT64_MAX);
+    opts.warmupCycles = env("SMTSIM_WARMUP", opts.warmupCycles, 0, UINT64_MAX);
+    opts.runs =
+        static_cast<unsigned>(env("SMTSIM_RUNS", opts.runs, 1, UINT_MAX));
     if (std::getenv("SMTSIM_SERIAL") != nullptr)
         opts.parallel = false;
     return opts;
+}
+
+std::optional<std::uint64_t>
+parseWholeNumber(const char *text)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t n = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, n);
+    if (text == end || ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return n;
 }
 
 } // namespace smt

@@ -10,6 +10,7 @@
 #define SMT_SIM_MIX_RUNNER_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "config/config.hh"
 #include "stats/stats.hh"
@@ -61,8 +62,14 @@ SimStats measureRun(const SmtConfig &cfg, unsigned run,
                     obs::PipeTrace *pipe = nullptr);
 
 /** Options honouring the SMTSIM_CYCLES / SMTSIM_WARMUP / SMTSIM_RUNS /
- *  SMTSIM_SERIAL environment overrides used by the bench harness. */
+ *  SMTSIM_SERIAL environment overrides. An unusable value (not a whole
+ *  number, or zero cycles or runs) warns and keeps the default. */
 MeasureOptions defaultMeasureOptions();
+
+/** `text` as a whole decimal number: digits only (no sign, space or
+ *  trailing bytes) and within 64 bits; nullopt otherwise. The one
+ *  parser for budget and count flags and their environment twins. */
+std::optional<std::uint64_t> parseWholeNumber(const char *text);
 
 } // namespace smt
 

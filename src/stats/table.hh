@@ -1,7 +1,7 @@
 /**
  * @file
- * Text-table and CSV rendering used by the benchmark harness to print
- * paper-style rows (measured next to the paper's reference values).
+ * Text-table and CSV rendering used by the experiment reports and the
+ * tools' summaries.
  */
 
 #ifndef SMT_STATS_TABLE_HH

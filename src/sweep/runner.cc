@@ -10,8 +10,10 @@
 
 #include "common/logging.hh"
 #include "sweep/digest.hh"
+#include "sweep/experiments.hh"
 #include "sweep/remote_store.hh"
 #include "sweep/result_store.hh"
+#include "sweep/serialize.hh"
 #include "sweep/thread_pool.hh"
 
 namespace smt::sweep
@@ -27,35 +29,14 @@ defaultRunnerOptions()
     return ropts;
 }
 
-const PointResult &
-SweepOutcome::at(const std::vector<std::size_t> &axis_choice,
-                 unsigned threads) const
+const PointResult *
+SweepOutcome::find(const std::string &label, unsigned threads) const
 {
     for (const PointResult &r : points) {
-        if (r.point.axisChoice == axis_choice
-            && r.point.threads == threads)
-            return r;
+        if (r.point.label == label && r.point.threads == threads)
+            return &r;
     }
-    smt_fatal("experiment \"%s\" has no point at the requested grid "
-              "coordinate (%u threads)", spec.name.c_str(), threads);
-}
-
-ThreadSweep
-SweepOutcome::sweepFor(const std::vector<std::size_t> &axis_choice,
-                       const std::string &label) const
-{
-    ThreadSweep sweep;
-    sweep.label = label;
-    for (const PointResult &r : points) {
-        if (r.point.axisChoice != axis_choice)
-            continue;
-        sweep.threads.push_back(r.point.threads);
-        sweep.points.push_back(r.data);
-    }
-    smt_assert(!sweep.points.empty(),
-               "no points for sweep \"%s\" of experiment \"%s\"",
-               label.c_str(), spec.name.c_str());
-    return sweep;
+    return nullptr;
 }
 
 namespace
@@ -413,6 +394,13 @@ outcomeArtifact(const std::vector<SweepOutcome> &outcomes,
                                outcome.cacheHits)));
         e.set("cacheMisses", Json(static_cast<std::uint64_t>(
                                  outcome.cacheMisses)));
+        // Verdicts move with the budget, so the artifact states it.
+        if (!outcome.points.empty())
+            e.set("budget", toJson(outcome.points.front().point.options));
+        if (const NamedExperiment *named =
+                findExperiment(outcome.spec.name))
+            e.set("claims",
+                  verdictsJson(evaluateClaims(named->claims, outcome)));
         Json points = Json::array();
         for (const PointResult &r : outcome.points) {
             Json p = Json::object();

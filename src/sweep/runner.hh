@@ -16,7 +16,6 @@
 
 #include "obs/pipe_trace.hh"
 #include "obs/trace.hh"
-#include "sim/experiment.hh"
 #include "sim/mix_runner.hh"
 #include "sweep/json.hh"
 #include "sweep/spec.hh"
@@ -107,14 +106,10 @@ struct SweepOutcome
     unsigned cacheMisses = 0;
     double wallSeconds = 0.0;
 
-    /** The result at an exact grid coordinate (fatal if absent). */
-    const PointResult &at(const std::vector<std::size_t> &axis_choice,
-                          unsigned threads) const;
-
-    /** Collect one axis combination across its thread counts as a
-     *  ThreadSweep, for the classic IPC-per-thread-count tables. */
-    ThreadSweep sweepFor(const std::vector<std::size_t> &axis_choice,
-                         const std::string &label) const;
+    /** The result whose point label and thread count match; null
+     *  when the grid has no such point. */
+    const PointResult *find(const std::string &label,
+                            unsigned threads) const;
 };
 
 /** Expand and run one experiment. */
@@ -122,14 +117,17 @@ SweepOutcome runSweep(const ExperimentSpec &spec,
                       const RunnerOptions &ropts);
 
 /**
- * Measure explicit points through the scheduler+cache (for bespoke
- * probes that are not grid-shaped). Results are in point order.
+ * Measure explicit points through the scheduler+cache: runSweep's grid,
+ * or the slice of it a shard worker or the coordinator owns. Results
+ * are in point order.
  */
 std::vector<PointResult> runPoints(const std::vector<SweepPoint> &points,
                                    const RunnerOptions &ropts);
 
 /**
  * The BENCH_sweep.json artifact body for a set of completed sweeps.
+ * Each experiment records the budget its points were measured at and,
+ * for a registered experiment, the verdict on each of its paper claims.
  * With `with_stalls`, every point also carries its closed stall
  * ledger as machine-readable JSON (`smtsweep --stall-report --json`):
  * {"threads": [per-thread per-cause counters + "stalled"],

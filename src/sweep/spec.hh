@@ -87,9 +87,8 @@ struct ExperimentSpec
 
     /**
      * Expand to the full grid: axes outermost-first, thread counts
-     * innermost, mirroring the loop nests of the original bench
-     * binaries. `base_opts` supplies the measurement knobs the spec
-     * doesn't override.
+     * innermost, the order the reports print. `base_opts` supplies the
+     * measurement knobs the spec doesn't override.
      */
     std::vector<SweepPoint> expand(const MeasureOptions &base_opts) const;
 

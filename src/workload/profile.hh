@@ -7,8 +7,7 @@
  * tomcatv, xlisp) plus TeX; those binaries are proprietary, so smtsim
  * substitutes generated programs whose *statistical* properties (mix,
  * block sizes, branch predictability, footprints, dependence distances)
- * match published characterisations of each benchmark. DESIGN.md explains
- * why this preserves the paper's results.
+ * match published characterisations of each benchmark.
  */
 
 #ifndef SMT_WORKLOAD_PROFILE_HH

@@ -234,8 +234,7 @@ TEST(Pipeline, WrongPathInstructionsAreFetchedAndSquashed)
     const SimStats &s = sim.stats();
     EXPECT_GT(s.fetchedWrongPath, 0u);
     EXPECT_GT(s.condBranchMispredicts, 0u);
-    // Wrong-path fetches must be a minority but visible (paper: ~16-24%
-    // single-thread).
+    // Wrong-path fetches must be a minority but visible.
     EXPECT_LT(s.wrongPathFetchedFraction(), 0.5);
 }
 

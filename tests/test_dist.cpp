@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1100,6 +1101,21 @@ coordinateSmokeSweep(bool over_ssh)
         EXPECT_EQ(file.find("progress"), std::string::npos) << file;
         EXPECT_EQ(file.find("trace"), std::string::npos) << file;
         EXPECT_EQ(file.find(".jsonl"), std::string::npos) << file;
+    }
+}
+
+TEST(SmtsweepCli, MalformedCountsExitTwoBeforeAnyPointRuns)
+{
+    for (const char *args :
+         {"--cycles abc", "--cycles 0", "--cycles 12x", "--cycles -5",
+          "--warmup xyz", "--runs 1x", "--runs 0", "--jobs 2x",
+          "--pipe-sample 3q"}) {
+        const std::string command = std::string(SMTSWEEP_BINARY)
+                                    + " --experiment fig7 --no-cache "
+                                    + args + " > /dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
     }
 }
 

@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <random>
+#include <set>
 
 #include "common/lz.hh"
 #include "sweep/digest.hh"
@@ -452,6 +456,33 @@ TEST(Spec, EveryNamedExperimentExpandsToValidConfigs)
     }
 }
 
+TEST(Spec, MalformedBudgetEnvironmentKeepsTheDefaults)
+{
+    ASSERT_EQ(::setenv("SMTSIM_CYCLES", "abc", 1), 0);
+    ASSERT_EQ(::setenv("SMTSIM_WARMUP", "12x", 1), 0);
+    ASSERT_EQ(::setenv("SMTSIM_RUNS", "0", 1), 0);
+    const MeasureOptions opts = defaultMeasureOptions();
+    EXPECT_EQ(opts.cyclesPerRun, 40000u);
+    EXPECT_EQ(opts.warmupCycles, 30000u);
+    EXPECT_EQ(opts.runs, 8u);
+
+    ASSERT_EQ(::setenv("SMTSIM_CYCLES", "0", 1), 0);
+    ASSERT_EQ(::setenv("SMTSIM_WARMUP", "0", 1), 0);
+    ASSERT_EQ(::setenv("SMTSIM_RUNS", "3", 1), 0);
+    const MeasureOptions zero_warmup = defaultMeasureOptions();
+    EXPECT_EQ(zero_warmup.cyclesPerRun, 40000u);
+    EXPECT_EQ(zero_warmup.warmupCycles, 0u);
+    EXPECT_EQ(zero_warmup.runs, 3u);
+    ::unsetenv("SMTSIM_CYCLES");
+    ::unsetenv("SMTSIM_WARMUP");
+    ::unsetenv("SMTSIM_RUNS");
+
+    EXPECT_EQ(parseWholeNumber("2000"), std::optional<std::uint64_t>(2000));
+    for (const char *bad : {"", "abc", "1x", "-5", "+5", " 5", "5 ",
+                            "99999999999999999999"})
+        EXPECT_FALSE(parseWholeNumber(bad).has_value()) << bad;
+}
+
 TEST(Spec, UnknownKnobsAreFatal)
 {
     // Re-exec instead of forking: other tests may have started the
@@ -460,6 +491,126 @@ TEST(Spec, UnknownKnobsAreFatal)
     SmtConfig cfg;
     EXPECT_DEATH(applyKnob(cfg, {"no_such_knob", Json(std::uint64_t{1})}),
                  "unknown config knob");
+}
+
+// ---- Paper claims ----------------------------------------------------------
+
+/** An outcome over `spec`'s own grid with made-up statistics (a
+ *  distinct, non-zero IPC at every point) — no simulation. */
+SweepOutcome
+fakeOutcome(const ExperimentSpec &spec)
+{
+    SweepOutcome outcome;
+    outcome.spec = spec;
+    std::uint64_t n = 0;
+    for (const SweepPoint &point : spec.expand(tinyOptions())) {
+        PointResult r;
+        r.point = point;
+        r.data.stats.cycles = 1000;
+        r.data.stats.committedInstructions = 1000 + 7 * ++n;
+        outcome.points.push_back(std::move(r));
+    }
+    return outcome;
+}
+
+TEST(Claims, EveryClaimResolvesOnItsOwnGrid)
+{
+    std::set<std::string> ids;
+    for (const NamedExperiment &e : allExperiments()) {
+        const SweepOutcome outcome = fakeOutcome(e.spec);
+        for (const ClaimVerdict &v : evaluateClaims(e.claims, outcome)) {
+            const std::string &id = v.claim->id;
+            EXPECT_TRUE(std::isfinite(v.measured)) << id;
+            EXPECT_EQ(id.rfind(e.spec.name + ".", 0), 0u) << id;
+            EXPECT_TRUE(ids.insert(id).second) << "duplicate " << id;
+        }
+    }
+    EXPECT_GE(ids.size(), 100u);
+
+    // A claim naming a point its grid lacks is fatal, not a zero.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const NamedExperiment *fig7 = findExperiment("fig7");
+    const SweepOutcome smoke = fakeOutcome(findExperiment("smoke")->spec);
+    EXPECT_DEATH((void)evaluateClaims(fig7->claims, smoke),
+                 "smoke\" has no point \"200 total\"");
+}
+
+TEST(Claims, BandEdgesPassAndJustOutsideFails)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const PaperClaim value{"t.value", "", ClaimKind::Value,
+                           ClaimUnit::Ratio, 2.0, 0.25, {}};
+    EXPECT_TRUE(judgeClaim(value, 2.5).pass);
+    EXPECT_TRUE(judgeClaim(value, 1.5).pass);
+    EXPECT_FALSE(judgeClaim(value, std::nextafter(2.5, 3.0)).pass);
+    EXPECT_FALSE(judgeClaim(value, std::nextafter(1.5, 1.0)).pass);
+    EXPECT_FALSE(judgeClaim(value, nan).pass);
+    EXPECT_EQ(judgeClaim(value, 2.5).delta, 0.5);
+
+    const PaperClaim order{"t.ordering", "", ClaimKind::Ordering,
+                           ClaimUnit::Ipc, nan, kOrderingSlack, {}};
+    EXPECT_TRUE(judgeClaim(order, 0.0).pass);
+    EXPECT_FALSE(judgeClaim(order, -1e-12).pass);
+    EXPECT_TRUE(std::isnan(judgeClaim(order, 1.0).delta));
+
+    const PaperClaim peak{"t.max-at", "", ClaimKind::MaxAt,
+                          ClaimUnit::Number, 4, kMaxAtSlack, {}};
+    EXPECT_TRUE(judgeClaim(peak, 4).pass);
+    EXPECT_FALSE(judgeClaim(peak, 3).pass);
+    EXPECT_FALSE(judgeClaim(peak, 5).pass);
+}
+
+TEST(Claims, MaximumAtTieGoesToTheFirstPosition)
+{
+    const NamedExperiment *fig7 = findExperiment("fig7");
+    ASSERT_NE(fig7, nullptr);
+    // Committed instructions per 1000 cycles at 1..5 contexts.
+    const auto peak = [&](std::vector<std::uint64_t> committed) {
+        SweepOutcome o = fakeOutcome(fig7->spec);
+        for (std::size_t i = 0; i < o.points.size(); ++i)
+            o.points[i].data.stats.committedInstructions = committed.at(i);
+        return evaluateClaims(fig7->claims, o).at(0);
+    };
+    const ClaimVerdict early = peak({100, 200, 300, 300, 100});
+    EXPECT_EQ(early.measured, 3.0);
+    EXPECT_FALSE(early.pass);
+    const ClaimVerdict late = peak({100, 200, 250, 300, 300});
+    EXPECT_EQ(late.measured, 4.0);
+    EXPECT_TRUE(late.pass);
+}
+
+TEST(Claims, ArtifactRecordsVerdictsAndBudget)
+{
+    const NamedExperiment *fig3 = findExperiment("fig3");
+    ASSERT_NE(fig3, nullptr);
+    const Json doc = outcomeArtifact({fakeOutcome(fig3->spec)});
+    const Json &e = doc.at("experiments")[0];
+    EXPECT_EQ(e.at("budget").at("cyclesPerRun").asUInt(),
+              tinyOptions().cyclesPerRun);
+    EXPECT_EQ(e.at("budget").at("warmupCycles").asUInt(),
+              tinyOptions().warmupCycles);
+    EXPECT_EQ(e.at("budget").at("runs").asUInt(), tinyOptions().runs);
+
+    const Json &claims = e.at("claims");
+    ASSERT_EQ(claims.size(), fig3->claims.size());
+    for (std::size_t i = 0; i < claims.size(); ++i) {
+        EXPECT_EQ(claims[i].at("id").asString(), fig3->claims[i].id);
+        EXPECT_TRUE(claims[i].at("measured").isNumber());
+        EXPECT_TRUE(claims[i].has("pass"));
+        // A relation the paper states without a number has no paper
+        // value and no delta.
+        const bool relation_only = std::isnan(fig3->claims[i].paper);
+        EXPECT_EQ(claims[i].at("paper").isNull(), relation_only);
+        EXPECT_EQ(claims[i].at("delta").isNull(), relation_only);
+    }
+    Json reparsed;
+    EXPECT_TRUE(Json::parse(doc.dump(), reparsed));
+
+    // An unregistered experiment records its budget but no claims.
+    SweepOutcome unit = fakeOutcome(fig3->spec);
+    unit.spec.name = "unit";
+    EXPECT_FALSE(
+        outcomeArtifact({unit}).at("experiments")[0].has("claims"));
 }
 
 // ---- Thread pool -----------------------------------------------------------
@@ -627,18 +778,22 @@ TEST(Runner, DuplicatePointsAreMeasuredOnce)
               toJson(results[1].data.stats).dump());
 }
 
-TEST(Runner, SweepForAndAtIndexTheGrid)
+TEST(Runner, FindIndexesTheGridByLabelAndThreads)
 {
     const NamedExperiment *smoke = findExperiment("smoke");
     RunnerOptions ropts;
     ropts.measure = tinyOptions();
     const SweepOutcome outcome = runSweep(smoke->spec, ropts);
 
-    const ThreadSweep rr = outcome.sweepFor({0}, "RR");
-    EXPECT_EQ(rr.threads, smoke->spec.threadCounts);
-    EXPECT_EQ(rr.ipcAt(2), outcome.at({0}, 2).data.ipc());
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH((void)rr.ipcAt(7), "no 7-thread data point");
+    const PointResult *rr2 = outcome.find("RR", 2);
+    ASSERT_NE(rr2, nullptr);
+    EXPECT_EQ(rr2->point.threads, 2u);
+    EXPECT_EQ(rr2->point.axisChoice, std::vector<std::size_t>{0});
+    EXPECT_EQ(outcome.find("ICOUNT", 1)->point.axisChoice,
+              std::vector<std::size_t>{1});
+    // A typo'd coordinate must not fabricate a data point.
+    EXPECT_EQ(outcome.find("RR", 7), nullptr);
+    EXPECT_EQ(outcome.find("rr", 2), nullptr);
 }
 
 } // namespace

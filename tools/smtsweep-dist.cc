@@ -24,6 +24,8 @@
 
 #include <unistd.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -146,19 +148,24 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
-    auto positive = [&](int &i) -> unsigned {
+    // Every count flag: a whole number in [min, max], else exit 2
+    // before any worker starts.
+    auto count_arg = [&](int &i, std::uint64_t min,
+                         std::uint64_t max = UINT64_MAX) -> std::uint64_t {
         const char *flag = argv[i];
         const char *value = next_arg(i);
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(value, nullptr, 10));
-        if (n < 1) {
+        const std::optional<std::uint64_t> n = parseWholeNumber(value);
+        if (!n || *n < min || *n > max) {
             std::fprintf(stderr,
-                         "smtsweep-dist: %s needs a positive count, "
-                         "got \"%s\"\n",
-                         flag, value);
-            std::exit(usage(2));
+                         "smtsweep-dist: %s needs a whole number%s, got "
+                         "\"%s\"\n",
+                         flag, min > 0 ? " >= 1" : "", value);
+            std::exit(2);
         }
-        return n;
+        return *n;
+    };
+    auto positive = [&](int &i) {
+        return static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -202,19 +209,8 @@ main(int argc, char **argv)
         }
         else if (std::strcmp(arg, "--ssh") == 0)
             opts.sshProgram = next_arg(i);
-        else if (std::strcmp(arg, "--retries") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            opts.retries =
-                static_cast<unsigned>(std::strtoul(value, &end, 10));
-            if (end == value || *end != '\0') {
-                std::fprintf(stderr,
-                             "smtsweep-dist: --retries needs a count, "
-                             "got \"%s\"\n",
-                             value);
-                return usage(2);
-            }
-        }
+        else if (std::strcmp(arg, "--retries") == 0)
+            opts.retries = static_cast<unsigned>(count_arg(i, 0, UINT_MAX));
         else if (std::strcmp(arg, "--jobs") == 0)
             opts.jobsPerWorker = positive(i);
         else if (std::strcmp(arg, "--smtsweep") == 0)
@@ -224,11 +220,9 @@ main(int argc, char **argv)
         else if (std::strcmp(arg, "--json") == 0)
             json_path = next_arg(i);
         else if (std::strcmp(arg, "--cycles") == 0)
-            opts.ropts.measure.cyclesPerRun =
-                std::strtoull(next_arg(i), nullptr, 10);
+            opts.ropts.measure.cyclesPerRun = count_arg(i, 1);
         else if (std::strcmp(arg, "--warmup") == 0)
-            opts.ropts.measure.warmupCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
+            opts.ropts.measure.warmupCycles = count_arg(i, 0);
         else if (std::strcmp(arg, "--runs") == 0)
             opts.ropts.measure.runs = positive(i);
         else if (std::strcmp(arg, "--serial") == 0)
@@ -308,7 +302,7 @@ main(int argc, char **argv)
         return rc;
     }
 
-    e->report(outcome.merged);
+    sweep::printReport(*e, outcome.merged);
     std::printf("dist %s: %zu points across %u shards, %u merge hits, "
                 "%u misses, %.2fs wall\n",
                 experiment.c_str(), outcome.merged.points.size(),

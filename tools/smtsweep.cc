@@ -3,8 +3,8 @@
  * smtsweep: run any named experiment through the sweep engine.
  *
  *   smtsweep --experiment fig5
- *       run Figure 5's grid (printing the same self-check table as
- *       bench/fig5_fetch_policies) with on-disk result caching;
+ *       run Figure 5's grid with on-disk result caching, print its
+ *       measured tables, then one verdict per paper claim;
  *   smtsweep --experiment fig5 --require-cached
  *       assert the whole grid replays from cache (CI's second pass);
  *   smtsweep --list | --describe NAME
@@ -15,10 +15,11 @@
  *       "smt-simspeed-v1" artifact scripts/check-simspeed.sh gates on.
  *
  * Measurement knobs come from the SMTSIM_CYCLES / SMTSIM_WARMUP /
- * SMTSIM_RUNS / SMTSIM_SERIAL environment (like the bench binaries)
- * unless overridden by flags.
+ * SMTSIM_RUNS / SMTSIM_SERIAL environment unless overridden by flags.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,28 +122,34 @@ usage(int code)
     return code;
 }
 
+/** "A<sep>B" as two whole numbers; nullopt when either half is not. */
+std::optional<std::pair<std::uint64_t, std::uint64_t>>
+parsePair(const char *text, char sep)
+{
+    const char *mid = std::strchr(text, sep);
+    if (mid == nullptr)
+        return std::nullopt;
+    const auto a = smt::parseWholeNumber(std::string(text, mid).c_str());
+    const auto b = smt::parseWholeNumber(mid + 1);
+    if (!a || !b)
+        return std::nullopt;
+    return std::pair{*a, *b};
+}
+
 /** Parse "I/N" with 0 <= I < N; exits on malformed input. */
 void
 parseShardSpec(const char *text, unsigned &index, unsigned &count)
 {
-    char *end = nullptr;
-    const unsigned long i = std::strtoul(text, &end, 10);
-    if (end == text || *end != '/') {
-        std::fprintf(stderr, "smtsweep: --shard wants I/N, got \"%s\"\n",
-                     text);
-        std::exit(usage(2));
-    }
-    const char *rest = end + 1;
-    const unsigned long n = std::strtoul(rest, &end, 10);
-    if (end == rest || *end != '\0' || n < 1 || i >= n) {
+    const auto spec = parsePair(text, '/');
+    if (!spec || spec->first >= spec->second || spec->second > UINT_MAX) {
         std::fprintf(stderr,
                      "smtsweep: --shard wants I/N with 0 <= I < N, "
                      "got \"%s\"\n",
                      text);
         std::exit(usage(2));
     }
-    index = static_cast<unsigned>(i);
-    count = static_cast<unsigned>(n);
+    index = static_cast<unsigned>(spec->first);
+    count = static_cast<unsigned>(spec->second);
 }
 
 } // namespace
@@ -177,6 +184,21 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    // Every count flag: a whole number in [min, max], else exit 2
+    // before any point runs.
+    auto count_arg = [&](int &i, std::uint64_t min,
+                         std::uint64_t max = UINT64_MAX) -> std::uint64_t {
+        const char *flag = argv[i];
+        const char *value = next_arg(i);
+        const std::optional<std::uint64_t> n = smt::parseWholeNumber(value);
+        if (!n || *n < min || *n > max) {
+            std::fprintf(stderr,
+                         "smtsweep: %s needs a whole number%s, got \"%s\"\n",
+                         flag, min > 0 ? " >= 1" : "", value);
+            std::exit(2);
+        }
+        return *n;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -208,35 +230,14 @@ main(int argc, char **argv)
         else if (std::strcmp(arg, "--json") == 0)
             json_path = next_arg(i);
         else if (std::strcmp(arg, "--cycles") == 0)
-            ropts.measure.cyclesPerRun =
-                std::strtoull(next_arg(i), nullptr, 10);
+            ropts.measure.cyclesPerRun = count_arg(i, 1);
         else if (std::strcmp(arg, "--warmup") == 0)
-            ropts.measure.warmupCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
-        else if (std::strcmp(arg, "--runs") == 0) {
-            const char *value = next_arg(i);
-            ropts.measure.runs = static_cast<unsigned>(
-                std::strtoul(value, nullptr, 10));
-            if (ropts.measure.runs < 1) {
-                std::fprintf(stderr,
-                             "smtsweep: --runs needs a positive count, "
-                             "got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        }
-        else if (std::strcmp(arg, "--jobs") == 0) {
-            const char *value = next_arg(i);
-            ropts.jobs = static_cast<unsigned>(
-                std::strtoul(value, nullptr, 10));
-            if (ropts.jobs < 1) {
-                std::fprintf(stderr,
-                             "smtsweep: --jobs needs a positive count, "
-                             "got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        }
+            ropts.measure.warmupCycles = count_arg(i, 0);
+        else if (std::strcmp(arg, "--runs") == 0)
+            ropts.measure.runs =
+                static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
+        else if (std::strcmp(arg, "--jobs") == 0)
+            ropts.jobs = static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
         else if (std::strcmp(arg, "--shard") == 0) {
             parseShardSpec(next_arg(i), wopts.index, shard_count);
             wopts.count = shard_count;
@@ -263,33 +264,19 @@ main(int argc, char **argv)
             pipe_out = next_arg(i);
         else if (std::strcmp(arg, "--pipe-window") == 0) {
             const char *value = next_arg(i);
-            char *end = nullptr;
-            ropts.pipeOptions.windowFirst =
-                std::strtoull(value, &end, 10);
-            if (end == value || *end != ':') {
+            const auto window = parsePair(value, ':');
+            if (!window || window->second < window->first) {
                 std::fprintf(stderr,
                              "smtsweep: --pipe-window wants FIRST:LAST "
-                             "cycles, got \"%s\"\n",
+                             "cycles with FIRST <= LAST, got \"%s\"\n",
                              value);
                 return 2;
             }
-            const char *rest = end + 1;
-            ropts.pipeOptions.windowLast =
-                std::strtoull(rest, &end, 10);
-            if (end == rest || *end != '\0'
-                || ropts.pipeOptions.windowLast
-                       < ropts.pipeOptions.windowFirst) {
-                std::fprintf(stderr,
-                             "smtsweep: --pipe-window wants "
-                             "FIRST:LAST with FIRST <= LAST, got "
-                             "\"%s\"\n",
-                             value);
-                return 2;
-            }
+            ropts.pipeOptions.windowFirst = window->first;
+            ropts.pipeOptions.windowLast = window->second;
         }
         else if (std::strcmp(arg, "--pipe-sample") == 0)
-            ropts.pipeOptions.samplePeriod =
-                std::strtoull(next_arg(i), nullptr, 10);
+            ropts.pipeOptions.samplePeriod = count_arg(i, 0);
         else if (std::strcmp(arg, "--pipe-ab") == 0)
             pipe_ab = true;
         else if (std::strcmp(arg, "--serial") == 0)
@@ -343,7 +330,7 @@ main(int argc, char **argv)
 
     if (list) {
         for (const NamedExperiment &e : allExperiments())
-            std::printf("%-8s %4zu points  %s\n", e.spec.name.c_str(),
+            std::printf("%-16s %4zu points  %s\n", e.spec.name.c_str(),
                         e.spec.gridSize(), e.spec.title.c_str());
         return 0;
     }
@@ -433,7 +420,7 @@ main(int argc, char **argv)
             return 2;
         }
         SweepOutcome outcome = runSweep(e->spec, ropts);
-        e->report(outcome);
+        printReport(*e, outcome);
         if (stall_report) {
             for (const PointResult &r : outcome.points)
                 std::printf("\nstall report: %s (%u threads)%s\n%s",
