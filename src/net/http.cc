@@ -1,8 +1,11 @@
 #include "net/http.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -13,7 +16,7 @@ namespace
 {
 
 bool
-iequals(const std::string &a, const std::string &b)
+iequals(std::string_view a, std::string_view b)
 {
     if (a.size() != b.size())
         return false;
@@ -36,81 +39,62 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-/** Parse "Name: value" header lines until the blank line. */
+/** `text` as a whole number in `base`: one or more digits and nothing
+ *  else (no sign, space, prefix or trailing bytes). */
 bool
-readHeaderBlock(BufferedReader &in, Headers &headers)
+parseDigits(std::string_view text, int base, std::uint64_t &out)
 {
-    std::string line;
-    for (int count = 0; count < 512; ++count) {
-        if (!in.readLine(line))
-            return false;
-        if (line.empty())
-            return true;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            return false;
-        headers.add(trim(line.substr(0, colon)),
-                    trim(line.substr(colon + 1)));
-    }
-    return false; // absurd header count: treat as malformed.
+    const char *const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
+    return ec == std::errc() && ptr == end;
 }
 
-/** Append the chunked-framed body; false on torn/malformed input. */
-bool
-readChunkedBody(BufferedReader &in, std::string &body,
-                std::size_t max_body)
+/** How many times `name` appears; `value` receives the last one. */
+int
+countHeader(const Headers &headers, std::string_view name,
+            std::string &value)
 {
-    std::string line;
-    while (true) {
-        if (!in.readLine(line))
-            return false;
-        // Chunk extensions (";...") are permitted and ignored.
-        const std::string size_text = line.substr(0, line.find(';'));
-        char *end = nullptr;
-        const unsigned long long size =
-            std::strtoull(size_text.c_str(), &end, 16);
-        if (end == size_text.c_str())
-            return false;
-        if (size == 0)
-            break;
-        // Overflow-proof cap check: a chunk header of 2^64-1 must not
-        // wrap the sum past max_body.
-        if (size > max_body - body.size())
-            return false;
-        if (!in.readExact(body, size))
-            return false;
-        if (!in.readLine(line) || !line.empty())
-            return false; // chunk data must end with CRLF.
+    int count = 0;
+    for (const auto &[n, v] : headers.items()) {
+        if (iequals(n, name)) {
+            ++count;
+            value = v;
+        }
     }
-    // Trailers (we ignore their content) up to the final blank line.
-    while (true) {
-        if (!in.readLine(line))
-            return false;
-        if (line.empty())
-            return true;
-    }
+    return count;
 }
 
-/** Shared body framing for requests and responses. */
+/** "METHOD target HTTP/1.x" */
 bool
-readBody(BufferedReader &in, const Headers &headers, std::string &body,
-         std::size_t max_body, bool response_to_eof_ok)
+parseStartLine(const std::string &line, HttpRequest &req)
 {
-    if (iequals(headers.get("Transfer-Encoding"), "chunked"))
-        return readChunkedBody(in, body, max_body);
-    if (headers.has("Content-Length")) {
-        const std::string text = headers.get("Content-Length");
-        char *end = nullptr;
-        const unsigned long long len =
-            std::strtoull(text.c_str(), &end, 10);
-        if (end == text.c_str() || *end != '\0' || len > max_body)
-            return false;
-        return in.readExact(body, len);
-    }
-    // No framing headers: a request has no body; a response is framed
-    // by connection close (pre-keep-alive style).
-    if (response_to_eof_ok)
-        return in.readToEof(body);
+    const std::size_t sp1 = line.find(' ');
+    const std::size_t sp2 =
+        sp1 == std::string::npos ? std::string::npos
+                                 : line.find(' ', sp1 + 1);
+    if (sp2 == std::string::npos)
+        return false;
+    req.method = line.substr(0, sp1);
+    req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+    return line.compare(sp2 + 1, 7, "HTTP/1.") == 0 && !req.target.empty();
+}
+
+/** "HTTP/1.x NNN[ reason]" with NNN in 100..599. */
+bool
+parseStartLine(const std::string &line, HttpResponse &resp)
+{
+    const std::size_t sp = line.find(' ');
+    std::uint64_t status = 0;
+    if (line.rfind("HTTP/1.", 0) != 0 || sp == std::string::npos
+        || !parseDigits(std::string_view(line).substr(sp + 1, 3), 10,
+                        status)
+        || status < 100 || status > 599)
+        return false;
+    const std::size_t after = sp + 4;
+    if (after < line.size() && line[after] != ' ')
+        return false;
+    resp.status = static_cast<int>(status);
+    resp.reason = after < line.size() ? line.substr(after + 1) : "";
     return true;
 }
 
@@ -259,50 +243,24 @@ serialize(const HttpResponse &resp)
     return out;
 }
 
-bool
-readRequest(BufferedReader &in, HttpRequest &out, std::size_t max_body)
-{
-    std::string line;
-    if (!in.readLine(line) || line.empty())
-        return false;
-
-    const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 =
-        sp1 == std::string::npos ? std::string::npos
-                                 : line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos)
-        return false;
-    HttpRequest req;
-    req.method = line.substr(0, sp1);
-    req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::string version = line.substr(sp2 + 1);
-    if (version.rfind("HTTP/1.", 0) != 0 || req.target.empty())
-        return false;
-
-    if (!readHeaderBlock(in, req.headers))
-        return false;
-    if (!readBody(in, req.headers, req.body, max_body,
-                  /*response_to_eof_ok=*/false))
-        return false;
-    out = std::move(req);
-    return true;
-}
-
-// Mirrors readLine()'s cap: an unterminated run longer than this is
-// hostile, not merely slow.
+// A line longer than this is hostile, not merely slow.
 constexpr std::size_t kMaxLineBytes = 64 * 1024;
-// Mirrors readHeaderBlock()'s cap on header-block lines.
 constexpr int kMaxHeaderLines = 512;
 
+template <class Message>
 bool
-RequestParser::nextLine(std::string &line)
+MessageParser<Message>::nextLine(std::string &line)
 {
     const std::size_t nl = buf_.find('\n', pos_);
-    if (nl == std::string::npos) {
-        if (buf_.size() - pos_ > kMaxLineBytes)
-            status_ = Status::Error;
+    const std::size_t run_end = nl == std::string::npos ? buf_.size() : nl;
+    // The cap holds for terminated lines too, so the verdict does not
+    // depend on how the bytes were chunked.
+    if (run_end - pos_ > kMaxLineBytes) {
+        status_ = Status::Error;
         return false;
     }
+    if (nl == std::string::npos)
+        return false;
     std::size_t end = nl;
     if (end > pos_ && buf_[end - 1] == '\r')
         --end;
@@ -311,63 +269,64 @@ RequestParser::nextLine(std::string &line)
     return true;
 }
 
-void
-RequestParser::enterBodyPhase()
+template <class Message>
+bool
+MessageParser<Message>::takeBodyBytes()
 {
-    // Framing decision, in readBody()'s order: chunked wins, then a
-    // declared length, else a request carries no body.
-    if (iequals(req_.headers.get("Transfer-Encoding"), "chunked")) {
-        state_ = State::ChunkSize;
-        return;
-    }
-    if (req_.headers.has("Content-Length")) {
-        const std::string text = req_.headers.get("Content-Length");
-        char *end = nullptr;
-        const unsigned long long len =
-            std::strtoull(text.c_str(), &end, 10);
-        if (end == text.c_str() || *end != '\0' || len > maxBody_) {
-            status_ = Status::Error;
-            return;
-        }
-        bodyRemaining_ = static_cast<std::size_t>(len);
-        if (bodyRemaining_ == 0) {
+    const std::size_t take = std::min(buf_.size() - pos_, bodyRemaining_);
+    msg_.body.append(buf_, pos_, take);
+    pos_ += take;
+    bodyRemaining_ -= take;
+    return bodyRemaining_ == 0;
+}
+
+template <class Message>
+void
+MessageParser<Message>::enterBodyPhase()
+{
+    if constexpr (std::is_same_v<Message, HttpResponse>) {
+        if (headResponse_ || msg_.status == 204 || msg_.status == 304) {
             status_ = Status::Complete;
             return;
         }
-        state_ = State::FixedBody;
-        return;
     }
-    status_ = Status::Complete;
+    std::string te, cl;
+    const int te_count = countHeader(msg_.headers, "Transfer-Encoding", te);
+    const int cl_count = countHeader(msg_.headers, "Content-Length", cl);
+    std::uint64_t len = 0;
+    if (te_count > 0) {
+        // Chunked is the only coding spoken here, and a length beside
+        // it is the classic request-smuggling ambiguity.
+        if (te_count > 1 || cl_count > 0 || !iequals(te, "chunked"))
+            status_ = Status::Error;
+        else
+            state_ = State::ChunkSize;
+    } else if (cl_count == 0) {
+        status_ = Status::Complete; // unframed: no body.
+    } else if (cl_count > 1 || !parseDigits(cl, 10, len) || len > maxBody_) {
+        status_ = Status::Error;
+    } else {
+        bodyRemaining_ = static_cast<std::size_t>(len);
+        state_ = State::FixedBody;
+    }
 }
 
+template <class Message>
 void
-RequestParser::advance()
+MessageParser<Message>::advance()
 {
     std::string line;
     while (status_ == Status::NeedMore) {
         switch (state_) {
-        case State::RequestLine: {
+        case State::StartLine:
             if (!nextLine(line))
                 return;
-            const std::size_t sp1 = line.find(' ');
-            const std::size_t sp2 =
-                sp1 == std::string::npos ? std::string::npos
-                                         : line.find(' ', sp1 + 1);
-            if (line.empty() || sp2 == std::string::npos) {
-                status_ = Status::Error;
-                return;
-            }
-            req_.method = line.substr(0, sp1);
-            req_.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-            const std::string version = line.substr(sp2 + 1);
-            if (version.rfind("HTTP/1.", 0) != 0 || req_.target.empty()) {
+            if (!parseStartLine(line, msg_)) {
                 status_ = Status::Error;
                 return;
             }
             state_ = State::Headers;
-            headerLines_ = 0;
             break;
-        }
         case State::Headers: {
             if (headerLines_ >= kMaxHeaderLines) {
                 status_ = Status::Error; // absurd header count.
@@ -385,61 +344,38 @@ RequestParser::advance()
                 status_ = Status::Error;
                 return;
             }
-            req_.headers.add(trim(line.substr(0, colon)),
+            msg_.headers.add(trim(line.substr(0, colon)),
                              trim(line.substr(colon + 1)));
             break;
         }
-        case State::FixedBody: {
-            const std::size_t avail = buf_.size() - pos_;
-            if (avail == 0)
+        case State::FixedBody:
+            if (!takeBodyBytes())
                 return;
-            const std::size_t take = std::min(avail, bodyRemaining_);
-            req_.body.append(buf_, pos_, take);
-            pos_ += take;
-            bodyRemaining_ -= take;
-            if (bodyRemaining_ == 0)
-                status_ = Status::Complete;
+            status_ = Status::Complete;
             break;
-        }
         case State::ChunkSize: {
             if (!nextLine(line))
                 return;
-            // Chunk extensions (";...") are permitted and ignored.
-            const std::string size_text =
-                line.substr(0, line.find(';'));
-            char *end = nullptr;
-            const unsigned long long size =
-                std::strtoull(size_text.c_str(), &end, 16);
-            if (end == size_text.c_str()) {
-                status_ = Status::Error;
-                return;
-            }
-            if (size == 0) {
-                state_ = State::Trailers;
-                break;
-            }
-            // Overflow-proof cap check, same as readChunkedBody().
-            if (size > maxBody_ - req_.body.size()) {
+            // Hex digits, then an optional ";ext" that is ignored. The
+            // cap check cannot overflow: body size <= maxBody_.
+            std::uint64_t size = 0;
+            if (!parseDigits(std::string_view(line).substr(
+                                 0, line.find(';')),
+                             16, size)
+                || size > maxBody_ - msg_.body.size()) {
                 status_ = Status::Error;
                 return;
             }
             bodyRemaining_ = static_cast<std::size_t>(size);
-            state_ = State::ChunkData;
+            state_ = size == 0 ? State::Trailers : State::ChunkData;
             break;
         }
-        case State::ChunkData: {
-            const std::size_t avail = buf_.size() - pos_;
-            if (avail == 0)
+        case State::ChunkData:
+            if (!takeBodyBytes())
                 return;
-            const std::size_t take = std::min(avail, bodyRemaining_);
-            req_.body.append(buf_, pos_, take);
-            pos_ += take;
-            bodyRemaining_ -= take;
-            if (bodyRemaining_ == 0)
-                state_ = State::ChunkDataEnd;
+            state_ = State::ChunkDataEnd;
             break;
-        }
-        case State::ChunkDataEnd: {
+        case State::ChunkDataEnd:
             if (!nextLine(line))
                 return;
             if (!line.empty()) {
@@ -448,20 +384,19 @@ RequestParser::advance()
             }
             state_ = State::ChunkSize;
             break;
-        }
-        case State::Trailers: {
+        case State::Trailers:
             if (!nextLine(line))
                 return;
             if (line.empty())
                 status_ = Status::Complete;
             break;
         }
-        }
     }
 }
 
-RequestParser::Status
-RequestParser::feed(const char *data, std::size_t n)
+template <class Message>
+typename MessageParser<Message>::Status
+MessageParser<Message>::feed(const char *data, std::size_t n)
 {
     if (status_ == Status::Error)
         return status_;
@@ -480,16 +415,17 @@ RequestParser::feed(const char *data, std::size_t n)
     return status_;
 }
 
-HttpRequest
-RequestParser::takeRequest()
+template <class Message>
+Message
+MessageParser<Message>::take()
 {
     smt_assert(status_ == Status::Complete,
-               "takeRequest without a complete message");
-    HttpRequest out = std::move(req_);
-    req_ = HttpRequest();
+               "take() without a complete message");
+    Message out = std::move(msg_);
+    msg_ = Message();
     buf_.erase(0, pos_);
     pos_ = 0;
-    state_ = State::RequestLine;
+    state_ = State::StartLine;
     status_ = Status::NeedMore;
     bodyRemaining_ = 0;
     headerLines_ = 0;
@@ -497,42 +433,7 @@ RequestParser::takeRequest()
     return out;
 }
 
-bool
-readResponse(BufferedReader &in, HttpResponse &out, bool head_request,
-             std::size_t max_body)
-{
-    std::string line;
-    if (!in.readLine(line))
-        return false;
-    if (line.rfind("HTTP/1.", 0) != 0)
-        return false;
-    const std::size_t sp1 = line.find(' ');
-    if (sp1 == std::string::npos)
-        return false;
-    HttpResponse resp;
-    char *end = nullptr;
-    resp.status =
-        static_cast<int>(std::strtol(line.c_str() + sp1 + 1, &end, 10));
-    if (resp.status < 100 || resp.status > 599)
-        return false;
-    const std::size_t sp2 = line.find(' ', sp1 + 1);
-    if (sp2 != std::string::npos)
-        resp.reason = line.substr(sp2 + 1);
-
-    if (!readHeaderBlock(in, resp.headers))
-        return false;
-    // HEAD responses and 204/304 never carry a body regardless of
-    // their framing headers.
-    if (!head_request && resp.status != 204 && resp.status != 304) {
-        const bool framed = resp.headers.has("Content-Length")
-                            || resp.headers.has("Transfer-Encoding");
-        if (!readBody(in, resp.headers, resp.body, max_body,
-                      /*response_to_eof_ok=*/!framed
-                          && wantsClose(resp.headers)))
-            return false;
-    }
-    out = std::move(resp);
-    return true;
-}
+template class MessageParser<HttpRequest>;
+template class MessageParser<HttpResponse>;
 
 } // namespace smt::net

@@ -1,6 +1,7 @@
 /**
  * @file
- * HTTP/1.1 messages: parse and serialize over blocking sockets.
+ * HTTP/1.1 messages: one incremental parser for both directions, and
+ * serialization.
  *
  * Deliberately the useful subset and nothing more: request line +
  * status line, case-insensitive headers, bodies framed by
@@ -18,11 +19,11 @@
 #ifndef SMT_NET_HTTP_HH
 #define SMT_NET_HTTP_HH
 
+#include <cstddef>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "net/socket.hh"
 
 namespace smt::net
 {
@@ -88,44 +89,47 @@ std::string serialize(const HttpRequest &req);
 std::string serialize(const HttpResponse &resp);
 
 /**
- * Read one complete message. False on EOF, a torn connection, or a
- * malformed message — the caller must drop the connection. Bodies
- * larger than `max_body` bytes are rejected as malformed.
- */
-bool readRequest(BufferedReader &in, HttpRequest &out,
-                 std::size_t max_body = kMaxBodyBytes);
-
-/** `head_request` marks the response to a HEAD: framing headers
- *  describe the entity, but no body bytes follow. */
-bool readResponse(BufferedReader &in, HttpResponse &out,
-                  bool head_request = false,
-                  std::size_t max_body = kMaxBodyBytes);
-
-/**
- * Incremental request parser — the event-loop server's front end.
+ * Incremental HTTP/1.1 message parser — the only HTTP grammar here.
+ * The event-loop server reads requests with it (RequestParser) and
+ * HttpClient reads responses with it (ResponseParser); the start line
+ * is the only part that differs between the two.
  *
- * feed() bytes exactly as they arrive off a non-blocking socket, in
- * any chunking; the parser consumes them through the same grammar
- * readRequest() accepts (request line, capped header block, bodies
- * framed by Content-Length or chunked encoding with trailers) and
- * reports three-way status: a complete message, need-more-bytes, or
- * malformed. That last distinction is the reason this class exists —
- * the pull-based readRequest() cannot tell a torn stream from a
- * hostile one without blocking for more input. Accept/reject parity
- * with readRequest() is pinned by a property test over generated
- * corpora fed at every chunking.
+ * feed() bytes exactly as they arrive off a socket, in any chunking;
+ * the parser reports three-way status: a complete message,
+ * need-more-bytes, or malformed. A torn stream is NeedMore (the peer
+ * may still finish); only bytes no continuation can repair are Error.
  *
- * Pipelining: bytes past one complete message stay buffered;
- * takeRequest() hands the message out and immediately resumes on the
- * leftover, so status() afterwards already describes the next one.
+ * Framing (RFC 9112 section 6) admits no ambiguity a peer could
+ * smuggle a second message through: `Transfer-Encoding` must be
+ * exactly `chunked`, `Content-Length` must appear once and be all
+ * digits, the two never appear together, and a chunk size is hex
+ * digits optionally followed by `;ext`. A message with neither header
+ * has no body — a response is never delimited by connection close.
+ * Bodies above `max_body` bytes, lines above 64 KiB and header blocks
+ * above 512 lines are Error as well.
+ *
+ * Pipelining: bytes past one complete message stay buffered; take()
+ * hands the message out and immediately resumes on the leftover, so
+ * status() afterwards already describes the next one.
  */
-class RequestParser
+template <class Message>
+class MessageParser
 {
   public:
     enum class Status { NeedMore, Complete, Error };
 
-    explicit RequestParser(std::size_t max_body = kMaxBodyBytes)
+    explicit MessageParser(std::size_t max_body = kMaxBodyBytes)
         : maxBody_(max_body)
+    {
+    }
+
+    /** A parser for the responses to a request made with
+     *  `request_method`: the reply to a HEAD has no body, whatever its
+     *  framing headers say (as do a 204 and a 304). */
+    explicit MessageParser(const std::string &request_method,
+                           std::size_t max_body = kMaxBodyBytes)
+        requires std::is_same_v<Message, HttpResponse>
+        : maxBody_(max_body), headResponse_(request_method == "HEAD")
     {
     }
 
@@ -140,11 +144,11 @@ class RequestParser
 
     /** Move out the parsed message (status() must be Complete) and
      *  resume parsing any pipelined bytes already buffered. */
-    HttpRequest takeRequest();
+    Message take();
 
   private:
     enum class State {
-        RequestLine,
+        StartLine,
         Headers,
         FixedBody,
         ChunkSize,
@@ -154,20 +158,32 @@ class RequestParser
     };
 
     /** Extract one terminated line; false = need more bytes (or the
-     *  unterminated run blew the line cap, which sets Error). */
+     *  line blew the line cap, which sets Error). */
     bool nextLine(std::string &line);
     void advance();
     void enterBodyPhase();
+    /** Move buffered bytes into the body, up to bodyRemaining_; true
+     *  once none remain. */
+    bool takeBodyBytes();
 
     std::size_t maxBody_;
+    bool headResponse_ = false;
     Status status_ = Status::NeedMore;
-    State state_ = State::RequestLine;
+    State state_ = State::StartLine;
     std::string buf_;
     std::size_t pos_ = 0;
-    HttpRequest req_;
+    Message msg_;
     std::size_t bodyRemaining_ = 0;
     int headerLines_ = 0;
 };
+
+extern template class MessageParser<HttpRequest>;
+extern template class MessageParser<HttpResponse>;
+
+/** The event-loop server's front end. */
+using RequestParser = MessageParser<HttpRequest>;
+/** HttpClient's reader; one per exchange. */
+using ResponseParser = MessageParser<HttpResponse>;
 
 } // namespace smt::net
 

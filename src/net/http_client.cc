@@ -68,15 +68,22 @@ HttpClient::tryOnce(const HttpRequest &req, bool fresh_connection)
         return std::nullopt;
     }
 
-    BufferedReader reader(conn_);
-    HttpResponse resp;
-    if (!readResponse(reader, resp, req.method == "HEAD")) {
+    ResponseParser parser(req.method);
+    char buf[16 * 1024];
+    while (parser.status() == ResponseParser::Status::NeedMore) {
+        const long n = conn_.recvSome(buf, sizeof buf);
+        if (n <= 0)
+            break;
+        parser.feed(buf, static_cast<std::size_t>(n));
+    }
+    if (parser.status() != ResponseParser::Status::Complete) {
         conn_.close();
         error_ = "connection closed before a complete response";
         if (!fresh_connection)
             return tryOnce(req, true);
         return std::nullopt;
     }
+    HttpResponse resp = parser.take();
     if (wantsClose(resp.headers))
         conn_.close();
     error_.clear();

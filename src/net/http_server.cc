@@ -2,7 +2,9 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -31,6 +33,9 @@ void
 HttpServer::setIdleTimeout(double seconds)
 {
     smt_assert(!running(), "configure before start()");
+    smt_assert(seconds >= 0 && seconds <= kMaxIdleTimeoutSeconds,
+               "idle timeout %g s outside [0, %g]", seconds,
+               kMaxIdleTimeoutSeconds);
     idleTimeout_ = seconds;
 }
 
@@ -144,9 +149,10 @@ HttpServer::loop()
                 std::chrono::milliseconds>(next_deadline
                                            - Clock::now());
             // +1 rounds up so an expired deadline is seen as expired
-            // on the wake rather than spinning at 0ms repeatedly.
-            timeout_ms = static_cast<int>(
-                std::max<long long>(0, until.count() + 1));
+            // on the wake rather than spinning at 0ms repeatedly; a
+            // deadline beyond poll()'s int range wakes early instead.
+            timeout_ms = static_cast<int>(std::clamp<long long>(
+                until.count() + 1, 0, std::numeric_limits<int>::max()));
         }
 
         const int n = ::poll(pfds.data(),
@@ -229,8 +235,7 @@ HttpServer::readReady(std::uint64_t id)
                 return;
             }
             if (st == RequestParser::Status::Error) {
-                // Malformed input: drop without a response, exactly
-                // like the blocking server tearing the connection.
+                // Malformed input: drop without a response.
                 closeConn(id);
                 return;
             }
@@ -248,7 +253,7 @@ void
 HttpServer::startDispatch(std::uint64_t id, Conn &conn)
 {
     conn.state = Conn::State::Dispatching;
-    HttpRequest req = conn.parser.takeRequest();
+    HttpRequest req = conn.parser.take();
     pool_.submit([this, id, req = std::move(req)]() mutable {
         HttpResponse resp = handler_(req);
         const bool close_after =

@@ -25,12 +25,10 @@
  * slow-loris clients without stalling anyone else. Dispatching
  * connections are never reaped (the handler owns the clock there).
  *
- * The wire behavior is unchanged from the blocking server: same
- * parser grammar (malformed input drops the connection without a
- * response), same keep-alive and Connection: close semantics, same
- * metrics names. stop() is clean and prompt, so tests can start a
- * server on an ephemeral port (port 0 + port()) and tear it down
- * deterministically.
+ * Malformed input drops the connection without a response; keep-alive
+ * and Connection: close follow HTTP/1.1. stop() is clean and prompt,
+ * so tests can start a server on an ephemeral port (port 0 + port())
+ * and tear it down deterministically.
  */
 
 #ifndef SMT_NET_HTTP_SERVER_HH
@@ -54,6 +52,10 @@
 namespace smt::net
 {
 
+/** The longest idle timeout a server takes (about 31.7 years): a
+ *  deadline this far out still fits steady_clock's range. */
+inline constexpr double kMaxIdleTimeoutSeconds = 1e9;
+
 class HttpServer
 {
   public:
@@ -73,8 +75,8 @@ class HttpServer
      * Seconds a connection may sit between complete requests — or
      * take to deliver one, or to drain a response — before the loop
      * reaps it. Partial request bytes do not extend the deadline
-     * (the slow-loris defense). <= 0 disables reaping. Default 30.
-     * Set before start().
+     * (the slow-loris defense). 0 disables reaping. Default 30.
+     * Must lie in [0, kMaxIdleTimeoutSeconds]. Set before start().
      */
     void setIdleTimeout(double seconds);
 

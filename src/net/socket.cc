@@ -219,77 +219,4 @@ acceptConn(const Socket &listener)
     }
 }
 
-bool
-BufferedReader::fill()
-{
-    if (pos_ > 0 && pos_ == buf_.size()) {
-        buf_.clear();
-        pos_ = 0;
-    }
-    char chunk[16 * 1024];
-    const long n = sock_.recvSome(chunk, sizeof chunk);
-    if (n <= 0)
-        return false;
-    buf_.append(chunk, static_cast<std::size_t>(n));
-    return true;
-}
-
-bool
-BufferedReader::readLine(std::string &line, std::size_t max_len)
-{
-    // `searched` counts bytes already scanned *relative to pos_*:
-    // fill() may compact the buffer (shifting pos_ to 0), so an
-    // absolute scan position would go stale and miss the newline.
-    std::size_t searched = 0;
-    while (true) {
-        const std::size_t nl = buf_.find('\n', pos_ + searched);
-        if (nl != std::string::npos) {
-            std::size_t end = nl;
-            if (end > pos_ && buf_[end - 1] == '\r')
-                --end;
-            line.assign(buf_, pos_, end - pos_);
-            pos_ = nl + 1;
-            return true;
-        }
-        searched = buf_.size() - pos_;
-        if (searched > max_len)
-            return false; // header line absurdly long: treat as torn.
-        if (!fill())
-            return false;
-    }
-}
-
-bool
-BufferedReader::readExact(std::string &out, std::size_t n)
-{
-    while (n > 0) {
-        if (pos_ < buf_.size()) {
-            const std::size_t take = std::min(n, buf_.size() - pos_);
-            out.append(buf_, pos_, take);
-            pos_ += take;
-            n -= take;
-            continue;
-        }
-        if (!fill())
-            return false;
-    }
-    return true;
-}
-
-bool
-BufferedReader::readToEof(std::string &out)
-{
-    out.append(buf_, pos_, buf_.size() - pos_);
-    pos_ = buf_.size();
-    char chunk[16 * 1024];
-    while (true) {
-        const long n = sock_.recvSome(chunk, sizeof chunk);
-        if (n == 0)
-            return true;
-        if (n < 0)
-            return false;
-        out.append(chunk, static_cast<std::size_t>(n));
-    }
-}
-
 } // namespace smt::net

@@ -1,14 +1,13 @@
 /**
  * @file
- * Minimal blocking TCP sockets for the net layer.
+ * Minimal TCP sockets for the net layer.
  *
  * A thin, dependency-free RAII wrapper over POSIX sockets: connect by
  * host name (getaddrinfo), listen on an address/port (port 0 picks an
  * ephemeral port — tests bind there and ask boundPort()), accept, and
- * send/recv helpers that retry short writes and EINTR. All sockets are
- * blocking; the HTTP layer above builds message framing on top of
- * BufferedReader, which owns the read buffer so pipelined bytes are
- * never lost between messages.
+ * send/recv helpers that retry short writes and EINTR. Sockets start
+ * blocking (the client's mode); the event-loop server switches its
+ * own to non-blocking. Message framing is the HTTP layer's parser.
  */
 
 #ifndef SMT_NET_SOCKET_HH
@@ -85,38 +84,6 @@ std::uint16_t boundPort(const Socket &listener);
 /** Accept one connection; invalid socket on error (including the
  *  listener being closed by another thread during shutdown). */
 Socket acceptConn(const Socket &listener);
-
-/**
- * A read buffer over a borrowed socket: framing helpers for the HTTP
- * layer. Bytes read past what a caller consumed stay buffered for the
- * next call, so keep-alive connections can carry back-to-back
- * messages.
- */
-class BufferedReader
-{
-  public:
-    explicit BufferedReader(Socket &sock) : sock_(sock) {}
-
-    /** Read up to and including "\r\n" (or a bare "\n"); the returned
-     *  line excludes the terminator. False on EOF/error with no line. */
-    bool readLine(std::string &line, std::size_t max_len = 64 * 1024);
-
-    /** Read exactly `n` bytes into `out` (appended). */
-    bool readExact(std::string &out, std::size_t n);
-
-    /** Append everything until EOF to `out`; false on a read error. */
-    bool readToEof(std::string &out);
-
-    /** True when buffered bytes are pending (a pipelined message). */
-    bool hasBuffered() const { return pos_ < buf_.size(); }
-
-  private:
-    bool fill();
-
-    Socket &sock_;
-    std::string buf_;
-    std::size_t pos_ = 0;
-};
 
 } // namespace smt::net
 

@@ -3,10 +3,10 @@
  * Torture tests for the event-loop server and its incremental request
  * parser: protocol abuse over live sockets (byte-at-a-time delivery,
  * arbitrary split points, pipelining, torn bodies, slow-loris drip),
- * accept/reject parity between RequestParser and the blocking
- * readRequest() across every chunking of a shared corpus, and a
- * concurrency soak whose client-side ledger must balance the server's
- * /v1/stats counters exactly.
+ * the parser's golden corpora (tests/http_corpus.hh) in both
+ * directions at every chunking, smtstore's rejection of malformed
+ * numeric flags, and a concurrency soak whose client-side ledger must
+ * balance the server's /v1/stats counters exactly.
  *
  * The split from test_net.cpp is deliberate: that file pins the wire
  * protocol's *happy* behavior (and must pass unchanged across server
@@ -16,17 +16,19 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "http_corpus.hh"
 #include "net/http.hh"
 #include "net/http_client.hh"
 #include "net/http_server.hh"
@@ -80,165 +82,96 @@ echoHandler()
     };
 }
 
-/** Read one response off a raw socket (not via HttpClient). */
-bool
-readOneResponse(net::BufferedReader &in, net::HttpResponse &resp)
+/** The next response off a raw socket (not via HttpClient); nullopt
+ *  when the peer closes first or sends something malformed. */
+std::optional<net::HttpResponse>
+nextResponse(net::Socket &sock, net::ResponseParser &parser)
 {
-    return net::readResponse(in, resp);
-}
-
-// ---- Parser parity with the blocking reader --------------------------------
-
-/** The blocking readRequest()'s verdict on raw bytes, delivered over a
- *  socketpair and terminated by EOF — exactly how the old server saw
- *  hostile input. */
-bool
-blockingAccepts(const std::string &bytes, net::HttpRequest *out = nullptr)
-{
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        return false;
-    net::Socket reader(fds[0]);
-    {
-        net::Socket writer(fds[1]);
-        if (!writer.sendAll(bytes))
-            return false;
-    } // EOF for the reader.
-    net::BufferedReader in(reader);
-    net::HttpRequest req;
-    if (!net::readRequest(in, req))
-        return false;
-    if (out != nullptr)
-        *out = std::move(req);
-    return true;
-}
-
-/** Feed `bytes` at a fixed chunk size; the terminal status. */
-net::RequestParser::Status
-feedChunked(net::RequestParser &parser, const std::string &bytes,
-            std::size_t chunk)
-{
-    net::RequestParser::Status st = parser.status();
-    for (std::size_t pos = 0; pos < bytes.size(); pos += chunk)
-        st = parser.feed(bytes.data() + pos,
-                         std::min(chunk, bytes.size() - pos));
-    return st;
-}
-
-std::vector<std::string>
-validCorpus()
-{
-    std::vector<std::string> corpus;
-    corpus.push_back("GET /plain HTTP/1.1\r\nHost: x\r\n\r\n");
-    corpus.push_back("GET / HTTP/1.0\r\n\r\n");
-    // Header whitespace trimming on both sides of the colon.
-    corpus.push_back("GET /ws HTTP/1.1\r\nX-Pad:   spaced out   \r\n"
-                     "X-Tight:tight\r\n\r\n");
-    // Bare-LF line endings are tolerated.
-    corpus.push_back("GET /barelf HTTP/1.1\nHost: x\n\n");
-    // Content-Length framing, including a zero-length body.
-    corpus.push_back("PUT /cl HTTP/1.1\r\nContent-Length: 11\r\n\r\n"
-                     "hello world");
-    corpus.push_back("PUT /empty HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
-    // Chunked framing: multiple chunks, a chunk extension, trailers.
-    corpus.push_back("POST /chunked HTTP/1.1\r\n"
-                     "Transfer-Encoding: chunked\r\n\r\n"
-                     "4\r\nwiki\r\n5;ext=1\r\npedia\r\n0\r\n"
-                     "X-Trailer: t\r\n\r\n");
-    corpus.push_back("POST /chunked2 HTTP/1.1\r\n"
-                     "transfer-encoding: chunked\r\n\r\n"
-                     "0\r\n\r\n");
-    // A body large enough to span many feed() chunks.
-    std::string big = "PUT /big HTTP/1.1\r\nContent-Length: 70000\r\n\r\n";
-    big += std::string(70000, 'b');
-    corpus.push_back(std::move(big));
-    return corpus;
-}
-
-std::vector<std::string>
-hostileCorpus()
-{
-    std::vector<std::string> corpus;
-    // Request-line abuse.
-    corpus.push_back("\r\nGET / HTTP/1.1\r\n\r\n"); // empty first line.
-    corpus.push_back("GARBAGE\r\n\r\n");            // one-word line.
-    corpus.push_back("GET /missing-version\r\n\r\n");
-    corpus.push_back("GET / FTP/1.0\r\n\r\n");
-    corpus.push_back("GET / HTTP/2.0\r\n\r\n"); // not our major.
-    corpus.push_back("GET  / HTTP/1.1\r\n\r\n"); // empty target.
-    // Header abuse.
-    corpus.push_back("GET / HTTP/1.1\r\nno-colon-here\r\n\r\n");
-    {
-        std::string many = "GET /many HTTP/1.1\r\n";
-        for (int i = 0; i < 600; ++i)
-            many += "X-H" + std::to_string(i) + ": v\r\n";
-        many += "\r\n";
-        corpus.push_back(std::move(many));
+    char buf[4096];
+    while (parser.status() == net::ResponseParser::Status::NeedMore) {
+        const long n = sock.recvSome(buf, sizeof buf);
+        if (n <= 0)
+            return std::nullopt;
+        parser.feed(buf, static_cast<std::size_t>(n));
     }
-    // Content-Length abuse. strtoull negates "-5" into an enormous
-    // value, so it trips the same size cap as the huge literal.
-    corpus.push_back("PUT / HTTP/1.1\r\nContent-Length: 12x\r\n\r\n");
-    corpus.push_back("PUT / HTTP/1.1\r\nContent-Length: -5\r\n\r\n");
-    corpus.push_back("PUT / HTTP/1.1\r\n"
-                     "Content-Length: 999999999999\r\n\r\n");
-    corpus.push_back("PUT / HTTP/1.1\r\nContent-Length: 0x10\r\n\r\n");
-    // Chunked abuse.
-    corpus.push_back("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
-                     "\r\nzz\r\ndata\r\n0\r\n\r\n");
-    corpus.push_back("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
-                     "\r\nffffffffffffffff\r\n");
-    corpus.push_back("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
-                     "\r\n4\r\nwikiXX0\r\n\r\n"); // data not CRLF-ended.
-    return corpus;
+    if (parser.status() != net::ResponseParser::Status::Complete)
+        return std::nullopt;
+    return parser.take();
 }
 
-TEST(RequestParser, EveryChunkingParsesTheValidCorpusIdentically)
-{
-    for (const std::string &bytes : validCorpus()) {
-        net::HttpRequest expect;
-        ASSERT_TRUE(blockingAccepts(bytes, &expect)) << bytes;
+// ---- The parser against its golden corpora ---------------------------------
 
-        for (const std::size_t chunk :
-             {std::size_t(1), std::size_t(2), std::size_t(3),
-              std::size_t(7), std::size_t(4096), bytes.size()}) {
-            net::RequestParser parser;
-            const net::RequestParser::Status st =
-                feedChunked(parser, bytes, chunk);
-            ASSERT_EQ(st, net::RequestParser::Status::Complete)
-                << "chunk=" << chunk << " input:\n"
-                << bytes.substr(0, 120);
-            net::HttpRequest got = parser.takeRequest();
-            EXPECT_EQ(got.method, expect.method);
-            EXPECT_EQ(got.target, expect.target);
-            EXPECT_EQ(got.body, expect.body);
-            EXPECT_EQ(got.headers.items().size(),
-                      expect.headers.items().size());
-            for (const auto &[name, value] : expect.headers.items())
-                EXPECT_EQ(got.headers.get(name), value) << name;
-            // Nothing pipelined behind a lone message.
-            EXPECT_EQ(parser.status(),
-                      net::RequestParser::Status::NeedMore);
-            EXPECT_EQ(parser.bufferedBytes(), 0u);
+/** The cuts for every chunking the corpora are checked at. */
+std::vector<std::vector<std::size_t>>
+chunkings(const std::string &bytes)
+{
+    std::vector<std::vector<std::size_t>> all;
+    for (const std::size_t chunk : {1, 2, 3, 7, 13, 4096})
+        all.push_back(corpus::cutsEvery(bytes.size(), chunk));
+    all.push_back({}); // whole.
+    return all;
+}
+
+template <class Message>
+void
+expectGoldensAtEveryChunking(
+    const std::vector<corpus::Golden<Message>> &goldens)
+{
+    for (const corpus::Golden<Message> &golden : goldens) {
+        for (const std::vector<std::size_t> &cuts : chunkings(golden.bytes)) {
+            SCOPED_TRACE("pieces=" + std::to_string(cuts.size() + 1)
+                         + " input:\n" + golden.bytes.substr(0, 120));
+            const corpus::Parsed<Message> got = corpus::parseAll(
+                corpus::parserFor(golden, net::kMaxBodyBytes),
+                golden.bytes, cuts);
+            ASSERT_EQ(got.messages.size(), golden.expect.size());
+            for (std::size_t i = 0; i < got.messages.size(); ++i)
+                EXPECT_TRUE(corpus::sameMessage(got.messages[i],
+                                                golden.expect[i]))
+                    << "message " << i;
+            // Nothing buffered behind the last message.
+            EXPECT_EQ(got.status,
+                      net::MessageParser<Message>::Status::NeedMore);
+            EXPECT_EQ(got.buffered, 0u);
         }
     }
 }
 
-TEST(RequestParser, RejectsTheHostileCorpusLikeTheBlockingReader)
+template <class Message>
+void
+expectErrorAtEveryChunking(const std::vector<std::string> &hostile)
 {
-    for (const std::string &bytes : hostileCorpus()) {
-        EXPECT_FALSE(blockingAccepts(bytes))
-            << "blocking reader accepted:\n"
-            << bytes.substr(0, 120);
-        for (const std::size_t chunk :
-             {std::size_t(1), std::size_t(13), bytes.size()}) {
-            net::RequestParser parser;
-            const net::RequestParser::Status st =
-                feedChunked(parser, bytes, chunk);
-            EXPECT_EQ(st, net::RequestParser::Status::Error)
-                << "chunk=" << chunk << " input:\n"
+    for (const std::string &bytes : hostile) {
+        for (const std::vector<std::size_t> &cuts : chunkings(bytes)) {
+            const corpus::Parsed<Message> got = corpus::parseAll(
+                net::MessageParser<Message>(), bytes, cuts);
+            EXPECT_EQ(got.status, net::MessageParser<Message>::Status::Error)
+                << "pieces=" << cuts.size() + 1 << " input:\n"
                 << bytes.substr(0, 120);
+            EXPECT_TRUE(got.messages.empty()) << bytes.substr(0, 120);
         }
     }
+}
+
+TEST(MessageParser, RequestGoldensParseAtEveryChunking)
+{
+    expectGoldensAtEveryChunking(corpus::validRequests());
+}
+
+TEST(MessageParser, ResponseGoldensParseAtEveryChunking)
+{
+    expectGoldensAtEveryChunking(corpus::validResponses());
+}
+
+TEST(MessageParser, HostileRequestsAreErrorAtEveryChunking)
+{
+    expectErrorAtEveryChunking<net::HttpRequest>(corpus::hostileRequests());
+}
+
+TEST(MessageParser, HostileResponsesAreErrorAtEveryChunking)
+{
+    expectErrorAtEveryChunking<net::HttpResponse>(
+        corpus::hostileResponses());
 }
 
 TEST(RequestParser, TornPrefixesReadAsNeedMoreNotError)
@@ -261,9 +194,20 @@ TEST(RequestParser, UnterminatedLineBeyondTheCapIsError)
 {
     // 70KB of request line with no newline in sight: hostile, not
     // merely slow — and rejected without waiting for termination.
-    net::RequestParser parser;
     const std::string blob = "GET /" + std::string(70 * 1024, 'a');
-    EXPECT_EQ(feedChunked(parser, blob, 4096),
+    EXPECT_EQ(corpus::parseAll(net::RequestParser(), blob,
+                               corpus::cutsEvery(blob.size(), 4096))
+                  .status,
+              net::RequestParser::Status::Error);
+}
+
+TEST(RequestParser, TerminatedLineBeyondTheCapIsErrorFedWhole)
+{
+    // The cap does not depend on the chunking: the same line arriving
+    // in one piece, newline included, is just as hostile.
+    const std::string bytes =
+        "GET /" + std::string(70 * 1024, 'a') + " HTTP/1.1\r\n\r\n";
+    EXPECT_EQ(corpus::parseAll(net::RequestParser(), bytes, {}).status,
               net::RequestParser::Status::Error);
 }
 
@@ -271,7 +215,7 @@ TEST(RequestParser, ErrorIsSticky)
 {
     net::RequestParser parser;
     const std::string bad = "GARBAGE\r\n\r\n";
-    ASSERT_EQ(feedChunked(parser, bad, bad.size()),
+    ASSERT_EQ(parser.feed(bad.data(), bad.size()),
               net::RequestParser::Status::Error);
     const std::string good = "GET / HTTP/1.1\r\n\r\n";
     EXPECT_EQ(parser.feed(good.data(), good.size()),
@@ -290,14 +234,15 @@ TEST(RequestParser, PipelinedMessagesComeOutInOrder)
         net::serialize(one) + net::serialize(two);
 
     net::RequestParser parser;
-    ASSERT_EQ(feedChunked(parser, bytes, 1),
-              net::RequestParser::Status::Complete);
-    net::HttpRequest got = parser.takeRequest();
+    for (const char byte : bytes)
+        parser.feed(&byte, 1);
+    ASSERT_EQ(parser.status(), net::RequestParser::Status::Complete);
+    net::HttpRequest got = parser.take();
     EXPECT_EQ(got.target, "/first");
     EXPECT_EQ(got.body, "alpha");
-    // takeRequest() resumed on the buffered tail.
+    // take() resumed on the buffered tail.
     ASSERT_EQ(parser.status(), net::RequestParser::Status::Complete);
-    got = parser.takeRequest();
+    got = parser.take();
     EXPECT_EQ(got.target, "/second");
     EXPECT_EQ(parser.status(), net::RequestParser::Status::NeedMore);
 }
@@ -338,12 +283,12 @@ TEST_F(HostileServerTest, ByteAtATimeRequestStillParses)
         "PUT /dribble HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
     for (const char byte : bytes)
         ASSERT_TRUE(sock.sendAll(&byte, 1));
-    net::BufferedReader in(sock);
-    net::HttpResponse resp;
-    ASSERT_TRUE(readOneResponse(in, resp));
-    EXPECT_EQ(resp.status, 200);
-    EXPECT_EQ(resp.headers.get("X-Target"), "/dribble");
-    EXPECT_EQ(resp.body, "hello");
+    net::ResponseParser parser;
+    const auto resp = nextResponse(sock, parser);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, 200);
+    EXPECT_EQ(resp->headers.get("X-Target"), "/dribble");
+    EXPECT_EQ(resp->body, "hello");
 }
 
 TEST_F(HostileServerTest, ArbitrarySplitPointsDoNotConfuseTheServer)
@@ -365,10 +310,10 @@ TEST_F(HostileServerTest, ArbitrarySplitPointsDoNotConfuseTheServer)
         ASSERT_TRUE(sock.valid());
         ASSERT_TRUE(sock.sendAll(bytes.substr(0, cut)));
         ASSERT_TRUE(sock.sendAll(bytes.substr(cut)));
-        net::BufferedReader in(sock);
-        net::HttpResponse resp;
-        ASSERT_TRUE(readOneResponse(in, resp)) << "cut=" << cut;
-        EXPECT_EQ(resp.body, req.body) << "cut=" << cut;
+        net::ResponseParser parser;
+        const auto resp = nextResponse(sock, parser);
+        ASSERT_TRUE(resp.has_value()) << "cut=" << cut;
+        EXPECT_EQ(resp->body, req.body) << "cut=" << cut;
     }
 }
 
@@ -389,13 +334,13 @@ TEST_F(HostileServerTest, PipelinedRequestsAnswerInOrder)
     // One write carries all three; responses must come back complete,
     // in order, and correctly framed.
     ASSERT_TRUE(sock.sendAll(wire));
-    net::BufferedReader in(sock);
+    net::ResponseParser parser;
     for (int i = 0; i < 3; ++i) {
-        net::HttpResponse resp;
-        ASSERT_TRUE(readOneResponse(in, resp)) << "response " << i;
-        EXPECT_EQ(resp.headers.get("X-Target"),
+        const auto resp = nextResponse(sock, parser);
+        ASSERT_TRUE(resp.has_value()) << "response " << i;
+        EXPECT_EQ(resp->headers.get("X-Target"),
                   "/pipelined/" + std::to_string(i));
-        EXPECT_EQ(resp.body.size(), 1u + i * 100);
+        EXPECT_EQ(resp->body.size(), 1u + i * 100);
     }
 }
 
@@ -532,6 +477,71 @@ TEST_F(HostileServerTest, ConnectionCapRejectsTheOverflowPeer)
     EXPECT_LE(third.recvSome(&byte, 1), 0);
     EXPECT_GE(counter("net.connections.rejected"), 1);
 }
+
+TEST_F(HostileServerTest, ServesAtTheLongestIdleTimeout)
+{
+    // The deadline now + kMaxIdleTimeoutSeconds must still lie ahead
+    // of now on steady_clock, or every connection would be reaped.
+    startServer(net::kMaxIdleTimeoutSeconds);
+    net::HttpClient client("127.0.0.1", server_.port());
+    net::HttpRequest req;
+    req.target = "/patient";
+    for (int i = 0; i < 2; ++i) {
+        auto resp = client.request(req);
+        ASSERT_TRUE(resp.has_value()) << client.lastError();
+        EXPECT_EQ(resp->headers.get("X-Target"), "/patient");
+    }
+    EXPECT_EQ(counter("net.idle_reaped"), 0);
+}
+
+#ifdef SMTSTORE_BINARY
+
+/** smtstore's exit status for `args`; a server that starts anyway is
+ *  killed after a few seconds (and reads as 137). */
+int
+smtstoreExit(const std::string &args)
+{
+    TempDir dir("cli");
+    const std::string command = "timeout -s KILL 5 " SMTSTORE_BINARY
+                                " --dir " + dir.path() + " " + args
+                                + " > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(SmtstoreCli, MalformedCountsExitTwoBeforeServing)
+{
+    // Each bad count rides with a small partner, so a parse that
+    // regressed starts at most two threads before it is killed.
+    for (const char *args :
+         {"--port +80 --max-connections 2",
+          "--port -1 --max-connections 2",
+          "--port 65536 --max-connections 2",
+          "--port 80x --max-connections 2",
+          "--port 0 --dispatch-threads 1 --max-connections -1",
+          "--port 0 --dispatch-threads 1 --max-connections +2",
+          "--port 0 --dispatch-threads 1 --max-connections 0",
+          "--port 0 --max-connections 2 --dispatch-threads -1",
+          "--port 0 --max-connections 2 --dispatch-threads +1",
+          "--port 0 --max-connections 2 --dispatch-threads 0",
+          "--port 0 --max-connections 2 --dispatch-threads 3"})
+        EXPECT_EQ(smtstoreExit(args), 2) << args;
+}
+
+TEST(SmtstoreCli, IdleTimeoutOutsideTheClockRangeExitsTwo)
+{
+    // Past ~9.2e9 s a steady_clock deadline overflows into the past
+    // and reaps every connection; NaN would switch the deadline off.
+    for (const char *value :
+         {"1e10", "inf", "1e300", "nan", "-inf", "-1", "1e9x"})
+        EXPECT_EQ(smtstoreExit(std::string("--port 0 --max-connections 2 "
+                                           "--idle-timeout ")
+                               + value),
+                  2)
+            << value;
+}
+
+#endif // SMTSTORE_BINARY
 
 // ---- Concurrency soak: the ledger must balance -----------------------------
 

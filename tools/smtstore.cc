@@ -30,6 +30,8 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +39,7 @@
 #include <string>
 
 #include "net/http_server.hh"
+#include "sim/mix_runner.hh"
 #include "sweep/remote_store.hh"
 #include "sweep/result_store.hh"
 #include "sweep/store_service.hh"
@@ -65,8 +68,8 @@ usage(int code)
         "  --dir DIR       store directory to serve (default .smtstore)\n"
         "  --bind ADDR     listen address (default 127.0.0.1; use\n"
         "                  0.0.0.0 for other machines)\n"
-        "  --port N        listen port (default 8377; 0 picks an\n"
-        "                  ephemeral port, printed on startup)\n"
+        "  --port N        listen port, 0..65535 (default 8377; 0 picks\n"
+        "                  an ephemeral port, printed on startup)\n"
         "  --token-file P  require `Authorization: Bearer <token>` on\n"
         "                  every request, token = P's first line\n"
         "                  ($SMTSTORE_TOKEN also works; a flag would\n"
@@ -85,14 +88,17 @@ usage(int code)
         "                  complete request (or drained a response)\n"
         "                  within SEC seconds — partial bytes do not\n"
         "                  extend the deadline, so slow-loris clients\n"
-        "                  die here (default 30; 0 disables)\n"
+        "                  die here; SEC in 0..1e9 (default 30; 0\n"
+        "                  disables)\n"
         "  --max-connections N\n"
-        "                  concurrent connection cap; peers beyond it\n"
-        "                  are accepted and immediately closed\n"
-        "                  (default 1024)\n"
+        "                  concurrent connection cap, N >= 1; peers\n"
+        "                  beyond it are accepted and immediately\n"
+        "                  closed (default 1024)\n"
         "  --dispatch-threads N\n"
         "                  handler pool width for blocking work —\n"
-        "                  disk I/O, the claim mutex (default 4)\n"
+        "                  disk I/O, the claim mutex; N in 1..the\n"
+        "                  connection cap (default 4, or the cap when\n"
+        "                  lower)\n"
         "  --verbose       log every request (method, path, status,\n"
         "                  bytes, latency, trace id)\n"
         "  --help, -h      print this help\n");
@@ -112,11 +118,11 @@ main(int argc, char **argv)
     std::string stats_url;
     std::string token_file;
     std::string access_log;
-    unsigned port = 8377;
+    std::uint64_t port = 8377;
     bool verbose = false;
     double idle_timeout = 30.0;
-    unsigned long max_connections = 1024;
-    unsigned long dispatch_threads = 4;
+    std::uint64_t max_connections = 1024;
+    std::uint64_t dispatch_threads = 0; // 0: the default.
 
     auto next_arg = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -126,63 +132,52 @@ main(int argc, char **argv)
         return argv[++i];
     };
 
+    // Every count flag: a whole number in [min, max], else exit 2
+    // before the server starts.
+    auto count_arg = [&](int &i, std::uint64_t min, std::uint64_t max) {
+        const char *flag = argv[i];
+        const char *value = next_arg(i);
+        const std::optional<std::uint64_t> n = parseWholeNumber(value);
+        if (!n || *n < min || *n > max) {
+            std::fprintf(stderr,
+                         "smtstore: %s needs a whole number in %llu..%llu, "
+                         "got \"%s\"\n",
+                         flag, static_cast<unsigned long long>(min),
+                         static_cast<unsigned long long>(max), value);
+            std::exit(usage(2));
+        }
+        return *n;
+    };
+
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--dir") == 0)
             dir = next_arg(i);
         else if (std::strcmp(arg, "--bind") == 0)
             bind_addr = next_arg(i);
-        else if (std::strcmp(arg, "--port") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || n > 65535) {
-                std::fprintf(stderr,
-                             "smtstore: --port needs 0..65535, got "
-                             "\"%s\"\n",
-                             value);
-                return usage(2);
-            }
-            port = static_cast<unsigned>(n);
-        }
+        else if (std::strcmp(arg, "--port") == 0)
+            port = count_arg(i, 0, 65535);
         else if (std::strcmp(arg, "--token-file") == 0)
             token_file = next_arg(i);
         else if (std::strcmp(arg, "--idle-timeout") == 0) {
             const char *value = next_arg(i);
             char *end = nullptr;
             idle_timeout = std::strtod(value, &end);
-            if (end == value || *end != '\0' || idle_timeout < 0) {
+            // Written so NaN fails too.
+            if (end == value || *end != '\0'
+                || !(idle_timeout >= 0
+                     && idle_timeout <= net::kMaxIdleTimeoutSeconds)) {
                 std::fprintf(stderr,
-                             "smtstore: --idle-timeout needs seconds "
-                             ">= 0, got \"%s\"\n",
-                             value);
+                             "smtstore: --idle-timeout needs seconds in "
+                             "0..%g, got \"%s\"\n",
+                             net::kMaxIdleTimeoutSeconds, value);
                 return usage(2);
             }
         }
-        else if (std::strcmp(arg, "--max-connections") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            max_connections = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || max_connections == 0) {
-                std::fprintf(stderr,
-                             "smtstore: --max-connections needs a "
-                             "positive count, got \"%s\"\n",
-                             value);
-                return usage(2);
-            }
-        }
-        else if (std::strcmp(arg, "--dispatch-threads") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            dispatch_threads = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || dispatch_threads == 0) {
-                std::fprintf(stderr,
-                             "smtstore: --dispatch-threads needs a "
-                             "positive count, got \"%s\"\n",
-                             value);
-                return usage(2);
-            }
-        }
+        else if (std::strcmp(arg, "--max-connections") == 0)
+            max_connections = count_arg(i, 1, UINT64_MAX);
+        else if (std::strcmp(arg, "--dispatch-threads") == 0)
+            dispatch_threads = count_arg(i, 1, UINT64_MAX);
         else if (std::strcmp(arg, "--access-log") == 0)
             access_log = next_arg(i);
         else if (std::strcmp(arg, "--ping") == 0)
@@ -198,6 +193,19 @@ main(int argc, char **argv)
             std::fprintf(stderr, "smtstore: unknown option %s\n", arg);
             return usage(2);
         }
+    }
+
+    // A connection has at most one request in dispatch, so threads
+    // beyond the connection cap could never be busy.
+    if (dispatch_threads == 0) {
+        dispatch_threads = std::min<std::uint64_t>(4, max_connections);
+    } else if (dispatch_threads > max_connections) {
+        std::fprintf(stderr,
+                     "smtstore: --dispatch-threads %llu exceeds "
+                     "--max-connections %llu\n",
+                     static_cast<unsigned long long>(dispatch_threads),
+                     static_cast<unsigned long long>(max_connections));
+        return usage(2);
     }
 
     const std::string token = sweep::resolveStoreToken("", token_file);
