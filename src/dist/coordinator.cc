@@ -114,6 +114,46 @@ declareShardOrphans(sweep::ResultStore &store, const ShardPlan &plan,
     return declared;
 }
 
+/** Why `manifest` cannot be audited, or null when it can. Any store
+ *  client may record any JSON as the manifest, and the Json accessors
+ *  abort on a type mismatch, so every field is checked first:
+ *  `experiment` a string, `points` an array of objects whose digest
+ *  looks like one and whose optional shard is a whole number. */
+const char *
+manifestProblem(const std::optional<sweep::Json> &manifest)
+{
+    using Type = sweep::Json::Type;
+    if (!manifest.has_value())
+        return "no sweep manifest recorded (has a coordinator run "
+               "here?)";
+    const sweep::Json &m = *manifest;
+    if (m.type() != Type::Object || !m.has("experiment")
+        || m.at("experiment").type() != Type::String)
+        return "malformed sweep manifest: no experiment name";
+    if (!m.has("points") || m.at("points").type() != Type::Array)
+        return "malformed sweep manifest: no points array";
+    const sweep::Json &points = m.at("points");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const sweep::Json &p = points[i];
+        if (p.type() != Type::Object || !p.has("digest")
+            || p.at("digest").type() != Type::String
+            || !sweep::looksLikeDigest(p.at("digest").asString()))
+            return "malformed sweep manifest: a point's digest";
+        if (p.has("shard") && p.at("shard").type() != Type::UInt)
+            return "malformed sweep manifest: a point's shard";
+    }
+    return nullptr;
+}
+
+/** `seconds` as the text that parses back to exactly it. */
+std::string
+exactSeconds(double seconds)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", seconds);
+    return buf;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -135,14 +175,9 @@ workerShardArgs(const DistOptions &opts, const std::string &experiment,
         "--cycles", std::to_string(opts.ropts.measure.cyclesPerRun),
         "--warmup", std::to_string(opts.ropts.measure.warmupCycles),
         "--runs", std::to_string(opts.ropts.measure.runs),
-        "--marker-ttl",
-        std::to_string(opts.ropts.markerTtlSeconds),
+        "--marker-ttl", exactSeconds(opts.ropts.markerTtlSeconds),
+        "--steal", "--steal-wait", exactSeconds(opts.stealWaitSeconds),
     };
-    if (opts.steal) {
-        argv.push_back("--steal");
-        argv.push_back("--steal-wait");
-        argv.push_back(std::to_string(opts.stealWaitSeconds));
-    }
     if (!opts.ropts.measure.parallel)
         argv.push_back("--serial");
     if (opts.ropts.verbose)
@@ -235,9 +270,7 @@ runDistributed(const sweep::NamedExperiment &experiment,
     {
         long handle = -1;
         bool running = false;
-        unsigned attempts = 0;
         ShardStatus status;
-        std::chrono::steady_clock::time_point launchedAt;
     };
     std::vector<Worker> workers(opts.shards);
     for (unsigned s = 0; s < opts.shards; ++s) {
@@ -245,12 +278,9 @@ runDistributed(const sweep::NamedExperiment &experiment,
         workers[s].handle =
             launcher.launch(s, workerShardArgs(opts, name, jobs, s));
         workers[s].running = true;
-        workers[s].attempts = 1;
-        workers[s].launchedAt = start;
     }
 
     std::string last_logged;
-    bool failed = false;
     unsigned running = opts.shards;
     outcome.orphansDeclared = 0;
 
@@ -265,57 +295,29 @@ runDistributed(const sweep::NamedExperiment &experiment,
     auto onExit = [&](Worker &w, int exit_code) {
         w.running = false;
         --running;
+        w.status.wallSeconds = secondsSince(start);
         {
             sweep::Json f = sweep::Json::object();
             f.set("shard", sweep::Json(w.status.shard));
             f.set("exitCode", sweep::Json(
                                   static_cast<std::int64_t>(exit_code)));
-            f.set("seconds", sweep::Json(secondsSince(w.launchedAt)));
+            f.set("seconds", sweep::Json(w.status.wallSeconds));
             sweepSpan("worker_exit", std::move(f));
         }
         if (exit_code == 0) {
             fold.finish(w.status.shard);
             w.status.succeeded = true;
-            w.status.attempts = w.attempts;
-            w.status.wallSeconds = secondsSince(w.launchedAt);
             return;
         }
-        if (opts.steal) {
-            // Work stealing replaces whole-shard relaunch: declare the
-            // dead shard's unfinished digests orphaned; surviving
-            // workers adopt them, and the recovery pass below sweeps
-            // up anything nobody took.
-            const std::size_t declared =
-                declareShardOrphans(*store, plan, w.status.shard);
-            outcome.orphansDeclared += declared;
-            smt_warn("shard %u/%u exited with code %d; declared %zu "
-                     "orphaned digest(s) for adoption instead of "
-                     "relaunching",
-                     w.status.shard, opts.shards, exit_code, declared);
-            w.status.attempts = w.attempts;
-            w.status.wallSeconds = secondsSince(w.launchedAt);
-            return;
-        }
-        if (w.attempts <= opts.retries) {
-            smt_warn("shard %u/%u exited with code %d; relaunching "
-                     "(attempt %u of %u)",
-                     w.status.shard, opts.shards, exit_code,
-                     w.attempts + 1, opts.retries + 1);
-            fold.restart(w.status.shard);
-            w.handle = launcher.launch(
-                w.status.shard,
-                workerShardArgs(opts, name, jobs, w.status.shard));
-            w.running = true;
-            ++w.attempts;
-            w.launchedAt = std::chrono::steady_clock::now();
-            ++running;
-            return;
-        }
-        smt_warn("shard %u/%u failed with code %d after %u attempts; "
-                 "aborting the sweep",
-                 w.status.shard, opts.shards, exit_code, w.attempts);
-        w.status.attempts = w.attempts;
-        failed = true;
+        // A dead shard's unfinished digests are declared orphaned:
+        // surviving workers adopt them, and the recovery pass below
+        // sweeps up anything nobody took.
+        const std::size_t declared =
+            declareShardOrphans(*store, plan, w.status.shard);
+        outcome.orphansDeclared += declared;
+        smt_warn("shard %u/%u exited with code %d; declared %zu "
+                 "orphaned digest(s) for adoption",
+                 w.status.shard, opts.shards, exit_code, declared);
     };
 
     while (running > 0) {
@@ -326,8 +328,6 @@ runDistributed(const sweep::NamedExperiment &experiment,
             if (launcher.poll(w.handle, exit_code))
                 onExit(w, exit_code);
         }
-        if (failed)
-            break;
 
         const ProgressSummary summary = fold.summary();
         if (remote != nullptr && ticks++ % 20 == 0) {
@@ -363,14 +363,6 @@ runDistributed(const sweep::NamedExperiment &experiment,
     }
     if (live_tty)
         std::fprintf(stderr, "\n");
-
-    if (failed) {
-        for (Worker &w : workers) {
-            if (w.running)
-                launcher.terminate(w.handle);
-        }
-        return 1;
-    }
 
     // Final per-shard numbers, as the span streams reported them.
     outcome.shards.clear();
@@ -474,7 +466,6 @@ distArtifact(const std::string &experiment, const DistOutcome &outcome)
     for (const ShardStatus &s : outcome.shards) {
         sweep::Json j = sweep::Json::object();
         j.set("shard", sweep::Json(s.shard));
-        j.set("attempts", sweep::Json(s.attempts));
         j.set("succeeded", sweep::Json(s.succeeded));
         j.set("points", sweep::Json(static_cast<std::uint64_t>(s.points)));
         j.set("cacheHits",
@@ -521,24 +512,21 @@ auditArtifact(const std::string &store_locator,
             doc.set("storeStats", std::move(*stats));
     }
     const std::optional<sweep::Json> manifest = store->readManifest();
-    if (!manifest.has_value()
-        || manifest->type() != sweep::Json::Type::Object
-        || !manifest->has("points")) {
-        doc.set("error", sweep::Json("no sweep manifest recorded"));
+    if (const char *problem = manifestProblem(manifest)) {
+        doc.set("error", sweep::Json(problem));
         return doc;
     }
     doc.set("experiment", manifest->at("experiment"));
 
     const sweep::Json &points = manifest->at("points");
     std::map<std::string, sweep::WorkState> states;
-    std::map<std::string, unsigned> shard_of;
+    std::map<std::string, std::uint64_t> shard_of;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const std::string &digest = points[i].at("digest").asString();
         if (states.find(digest) == states.end()) {
             states.emplace(digest, store->state(digest));
             if (points[i].has("shard"))
-                shard_of[digest] = static_cast<unsigned>(
-                    points[i].at("shard").asUInt());
+                shard_of[digest] = points[i].at("shard").asUInt();
         }
     }
 
@@ -585,10 +573,9 @@ auditStore(const std::string &store_locator,
     const sweep::Json doc =
         auditArtifact(store_locator, store_token, ok);
     if (!ok) {
-        std::fprintf(stderr,
-                     "no sweep manifest in %s (has a coordinator run "
-                     "here?)\n",
-                     doc.at("store").asString().c_str());
+        std::fprintf(stderr, "%s: %s\n",
+                     doc.at("store").asString().c_str(),
+                     doc.at("error").asString().c_str());
         return 2;
     }
 

@@ -11,12 +11,11 @@
  * serial run of the same experiment whichever store (local directory
  * or remote smtstore) backed it.
  *
- * Failure handling has two modes. With work stealing (the default),
+ * Failure handling is work stealing: every worker runs with --steal,
  * a dead worker's unfinished digests are declared orphaned in the
- * store and surviving workers adopt them through the claim CAS — no
- * shard is ever relaunched, and anything still unfinished when the
- * last worker exits is recovered in-process before the merge. With
- * --no-steal, the classic per-shard relaunch (--retries) applies.
+ * store, and surviving workers adopt them through the claim CAS. No
+ * shard is ever relaunched; anything still unfinished when the last
+ * worker exits is recovered in-process before the merge.
  *
  * Workers run on this host or, with a host list, over ssh
  * (dist/launcher.hh). Their only report is the runner's span stream
@@ -46,6 +45,8 @@ struct DistOptions;
  * The argv one worker shard is launched with (exposed so tests can
  * pin what the coordinator forwards). It names no file: the worker
  * streams its spans to stdout whether or not the sweep is traced.
+ * Seconds are forwarded exactly (round-trip %.17g), so a worker parses
+ * the very value the coordinator accepted.
  * The store token is deliberately never part of this argv — it
  * travels out of band through the launcher (argv shows up in ps).
  */
@@ -57,9 +58,6 @@ workerShardArgs(const DistOptions &opts, const std::string &experiment,
 struct DistOptions
 {
     unsigned shards = 2;
-
-    /** Relaunches allowed per failed shard (only without stealing). */
-    unsigned retries = 1;
 
     /** Pool workers per worker process; 0 = cores / shards. */
     unsigned jobsPerWorker = 0;
@@ -73,9 +71,6 @@ struct DistOptions
 
     /** ssh binary for the remote backend (tests inject a stub). */
     std::string sshProgram = "ssh";
-
-    /** Orphan-aware work stealing (see file comment). */
-    bool steal = true;
 
     /** Grace period a worker lingers for orphans (--steal-wait). */
     double stealWaitSeconds = 10.0;
@@ -93,7 +88,6 @@ struct DistOptions
 struct ShardStatus
 {
     unsigned shard = 0;
-    unsigned attempts = 0;
     bool succeeded = false;
     std::size_t points = 0;
     std::size_t cacheHits = 0;
@@ -119,8 +113,8 @@ struct DistOutcome
 
 /**
  * Run `experiment` sharded opts.shards ways. Returns 0 on success
- * (outcome filled, merge verified all-hits), nonzero after a shard
- * failure the sweep could not absorb.
+ * (outcome filled, merge verified all-hits), 1 when every worker
+ * failed: a broken setup is reported, not recovered in-process.
  */
 int runDistributed(const sweep::NamedExperiment &experiment,
                    const DistOptions &opts, DistOutcome &outcome);
@@ -142,7 +136,9 @@ int auditStore(const std::string &store_locator,
                const std::string &store_token, bool verbose,
                const std::string &json_path = "");
 
-/** The audit document auditStore() emits (exposed for tests). */
+/** The audit document auditStore() emits (exposed for tests). `ok`
+ *  is false, and `error` set, when the store holds no manifest or one
+ *  that fails the field checks; auditStore() then exits 2. */
 sweep::Json auditArtifact(const std::string &store_locator,
                           const std::string &store_token, bool &ok);
 

@@ -311,12 +311,4 @@ WorkerLauncher::wait(long handle, int &exit_code)
         pump(std::chrono::milliseconds(10));
 }
 
-void
-WorkerLauncher::terminate(long handle)
-{
-    ::kill(static_cast<pid_t>(handle), SIGTERM);
-    int exit_code = 0;
-    wait(handle, exit_code);
-}
-
 } // namespace smt::dist

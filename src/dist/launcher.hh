@@ -9,8 +9,8 @@
  * HOST 'exec smtsweep ...'`, hosts assigned round-robin) and pipes
  * the store token to the remote shell's stdin; a local one hands the
  * token and the trace id over in the exec environment. Either way the
- * token never rides an argv that `ps` would show. Capture, polling,
- * waiting and termination are the same code for both. No agent,
+ * token never rides an argv that `ps` would show. Capture, polling
+ * and waiting are the same code for both. No agent,
  * daemon, or shared filesystem is required on a remote host beyond a
  * reachable `smtsweep` binary and the store URL.
  *
@@ -97,9 +97,6 @@ class WorkerLauncher
 
     /** Block until the worker exits, draining its output. */
     void wait(long handle, int &exit_code);
-
-    /** Best-effort termination (another shard failed hard). */
-    void terminate(long handle);
 
   private:
     struct Capture

@@ -99,15 +99,6 @@ ProgressFold::foldLine(unsigned shard, const std::string &line)
         spans_(shard, line);
 }
 
-void
-ProgressFold::restart(unsigned shard)
-{
-    ShardProgress fresh;
-    fresh.points = shards_.at(shard).points;
-    shards_[shard] = std::move(fresh);
-    pending_[shard].clear();
-}
-
 ProgressSummary
 ProgressFold::summary() const
 {

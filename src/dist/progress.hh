@@ -79,9 +79,6 @@ class ProgressFold
      *  is ignored if the worker dies first. */
     void feed(unsigned shard, std::string_view bytes);
 
-    /** A relaunched shard reports from scratch. */
-    void restart(unsigned shard);
-
     /** The shard's process exited 0. */
     void finish(unsigned shard) { shards_.at(shard).finished = true; }
 

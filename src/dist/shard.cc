@@ -23,48 +23,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/**
- * The digest -> shard assignment a coordinator pinned in the store
- * manifest, provided it covers exactly this grid's digest set with the
- * same shard count (otherwise the manifest belongs to some other
- * sweep and the caller plans locally).
- */
-bool
-assignmentFromManifest(const sweep::Json &manifest,
-                       const std::vector<std::string> &digests,
-                       unsigned shard_count,
-                       std::map<std::string, unsigned> &out)
-{
-    if (manifest.type() != sweep::Json::Type::Object
-        || !manifest.has("points") || !manifest.has("shardCount")
-        || manifest.at("shardCount").asUInt() != shard_count)
-        return false;
-
-    std::map<std::string, unsigned> assignment;
-    const sweep::Json &points = manifest.at("points");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const sweep::Json &p = points[i];
-        if (p.type() != sweep::Json::Type::Object || !p.has("digest")
-            || !p.has("shard"))
-            return false;
-        const unsigned shard =
-            static_cast<unsigned>(p.at("shard").asUInt());
-        if (shard >= shard_count)
-            return false;
-        assignment[p.at("digest").asString()] = shard;
-    }
-
-    const std::set<std::string> ours(digests.begin(), digests.end());
-    if (assignment.size() != ours.size())
-        return false;
-    for (const std::string &d : ours) {
-        if (assignment.find(d) == assignment.end())
-            return false;
-    }
-    out = std::move(assignment);
-    return true;
-}
-
 } // namespace
 
 double
@@ -170,35 +128,20 @@ runShard(const sweep::ExperimentSpec &spec,
     std::unique_ptr<sweep::ResultStore> store =
         sweep::openStore(ropts.cacheDir, ropts.storeToken);
 
-    // Assignment: the coordinator's manifest when it matches this grid
-    // (so every process of one sweep agrees by construction), else a
-    // local plan seeded with whatever cost hints the manifest carries.
+    // Assignment: re-plan from the cost snapshot the coordinator
+    // pinned in the manifest, which yields the coordinator's own plan
+    // (the plan is a pure function of digest set and snapshot).
     const std::vector<sweep::SweepPoint> grid =
         spec.expand(ropts.measure);
     const std::optional<sweep::Json> manifest = store->readManifest();
-    std::vector<std::string> digests;
-    digests.reserve(grid.size());
-    for (const sweep::SweepPoint &p : grid)
-        digests.push_back(sweep::measurementDigest(p.config, p.options));
-
-    std::map<std::string, unsigned> assignment;
-    if (!manifest.has_value()
-        || !assignmentFromManifest(*manifest, digests, wopts.count,
-                                   assignment)) {
-        const CostHints hints = manifest.has_value()
-                                    ? costHintsFromManifest(*manifest)
-                                    : CostHints{};
-        assignment = planShards(grid, wopts.count, hints).shardOfDigest;
-    }
+    const ShardPlan plan = planShards(
+        grid, wopts.count,
+        manifest.has_value() ? costHintsFromManifest(*manifest)
+                             : CostHints{});
 
     std::vector<sweep::SweepPoint> mine;
-    std::vector<std::size_t> mine_indices;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (assignment.at(digests[i]) == wopts.index) {
-            mine.push_back(grid[i]);
-            mine_indices.push_back(i);
-        }
-    }
+    for (std::size_t i : plan.members[wopts.index])
+        mine.push_back(grid[i]);
 
     ShardRunResult out;
     const std::vector<sweep::PointResult> results =
@@ -219,7 +162,7 @@ runShard(const sweep::ExperimentSpec &spec,
     if (wopts.steal.enabled) {
         std::map<std::string, std::size_t> uniq; // digest -> grid idx
         for (std::size_t i = 0; i < grid.size(); ++i)
-            uniq.emplace(digests[i], i);
+            uniq.emplace(plan.digests[i], i);
 
         // Completion is permanent, so each poll learns the done set
         // from one bulk listing and pays a per-digest state probe

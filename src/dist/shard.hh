@@ -9,9 +9,10 @@
  * stable under point reordering, across processes, and across hosts.
  * Every process of a distributed sweep (coordinator, each worker, the
  * merge pass) re-derives the same plan from the spec instead of
- * shipping assignments around; workers launched by a coordinator
- * additionally read the manifest it recorded, which pins both the
- * assignment and the cost hints it planned with.
+ * shipping assignments around; a worker re-plans from the cost hints
+ * the coordinator pinned in the store manifest (`observedCosts`), so
+ * it gets the coordinator's plan. The manifest's per-point `shard` is
+ * a record for `smtsweep-dist --status`, never read back as a plan.
  *
  * Planning is greedy LPT (longest processing time first): unique
  * digests sorted by descending cost — the observed wall time recorded
@@ -115,9 +116,8 @@ struct ShardWorkerOptions
 /**
  * Run one shard of an experiment into the shared store
  * (ropts.cacheDir names it — a directory or a store URL). The
- * assignment comes from the store manifest when the coordinator
- * recorded one for this digest set, else from a local planShards() —
- * identical inputs yield identical plans in every worker. With
+ * assignment is planShards() over the grid with the manifest's cost
+ * hints — identical inputs yield identical plans in every worker. With
  * stealing enabled the worker lingers after its own slice and adopts
  * orphaned digests of dead shards through the store's claim CAS.
  * Progress is reported through ropts.trace: the runner's hit and

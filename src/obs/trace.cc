@@ -34,21 +34,6 @@ newTraceId()
     return buf;
 }
 
-bool
-validTraceId(const std::string &id)
-{
-    if (id.empty() || id.size() > 64)
-        return false;
-    for (char c : id) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-                        || (c >= '0' && c <= '9') || c == '_'
-                        || c == '-';
-        if (!ok)
-            return false;
-    }
-    return true;
-}
-
 double
 nowUnixSeconds()
 {

@@ -5,10 +5,12 @@
  * that stitches a sweep's spans together across processes and hosts.
  *
  * The trace id is minted once per sweep (coordinator or tool entry
- * point), handed to local workers in the SMTSWEEP_TRACE_ID
- * environment variable, and rides every store request as the
- * `X-Smt-Trace` header so server-side access logs line up with
- * client-side spans.
+ * point), handed to workers in the SMTSWEEP_TRACE_ID environment
+ * variable, and rides every store request as the `X-Smt-Trace` header
+ * so server-side access logs line up with client-side spans. Spans
+ * themselves never reach the store: a shard worker streams them to
+ * its stdout, and a traced coordinator appends them to its own trace
+ * file, the one place a sweep's spans meet.
  */
 
 #ifndef SMT_OBS_TRACE_HH
@@ -29,11 +31,6 @@ inline constexpr const char *kTraceEnvVar = "SMTSWEEP_TRACE_ID";
 
 /** A fresh process-unique hex trace id (no RNG dependency). */
 std::string newTraceId();
-
-/** True when `id` is safe to use as a trace id everywhere one
- *  travels — headers, environment variables, and server-side file
- *  names (1..64 chars of [A-Za-z0-9_-], so no path traversal). */
-bool validTraceId(const std::string &id);
 
 /** Wall-clock seconds since the Unix epoch, to microseconds. */
 double nowUnixSeconds();
@@ -67,7 +64,7 @@ class TraceWriter
      * Streams spans to a borrowed stream (a shard worker's stdout,
      * folded by its coordinator) under exactly `trace_id`. An empty
      * id marks spans that belong to no trace: the runner then stamps
-     * no X-Smt-Trace header and posts nothing to the store.
+     * no X-Smt-Trace header on its store requests.
      */
     TraceWriter(std::FILE *stream, std::string trace_id);
 
@@ -78,10 +75,7 @@ class TraceWriter
      * Write `{"ts": ..., "mono": ..., "event": event, "trace":
      * traceId(), plus every key of `fields`}` as one line. `fields`
      * must be a JSON object (or null for no extra fields). Returns
-     * the exact line written (without its newline), so a caller can
-     * buffer spans for store-side ingest (`POST /v1/trace`) without
-     * re-serializing — the server-side copy stays byte-identical to
-     * the local one, which is what lets readers deduplicate.
+     * the exact line written (without its newline).
      */
     std::string emit(const std::string &event, sweep::Json fields);
 

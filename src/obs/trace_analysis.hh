@@ -1,18 +1,17 @@
 /**
  * @file
- * Sweep-trace analysis: ingest JSONL trace spans (`--trace-out`,
- * server-side `/v1/trace` captures) and smtstore access logs
- * (`--access-log`), join them by trace id, and reconstruct what a
- * distributed sweep actually did — per-digest lifecycle state
- * machines, per-worker busy/idle ledgers, store latency percentiles,
- * and a Chrome trace-event export loadable in Perfetto.
+ * Sweep-trace analysis: ingest JSONL trace spans (`--trace-out`) and
+ * smtstore access logs (`--access-log`), join them by trace id, and
+ * reconstruct what a distributed sweep actually did — per-digest
+ * lifecycle state machines, per-worker busy/idle ledgers, store
+ * latency percentiles, and a Chrome trace-event export loadable in
+ * Perfetto.
  *
  * Readers are deliberately tolerant: trace files are appended to by
  * several processes and may be copied mid-write, so a malformed,
  * torn, or foreign line is counted and skipped, never an error, and
- * byte-identical duplicate lines (a worker's span appearing in both
- * its local file and the store's server-side capture) collapse to
- * one event.
+ * byte-identical duplicate lines (a file passed twice, or a copy of
+ * it beside the original) collapse to one event.
  *
  * Timing uses both clocks every span carries: wall-clock `ts` places
  * events across hosts, while per-host monotonic `mono` + `dur_us`

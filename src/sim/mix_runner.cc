@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -88,6 +89,18 @@ parseWholeNumber(const char *text)
     if (text == end || ec != std::errc() || ptr != end)
         return std::nullopt;
     return n;
+}
+
+std::optional<double>
+parseSeconds(const char *text, double min, double max)
+{
+    const char *end = text + std::strlen(text);
+    double seconds = 0.0;
+    const auto [ptr, ec] = std::from_chars(text, end, seconds);
+    if (text == end || ec != std::errc() || ptr != end
+        || !std::isfinite(seconds) || seconds < min || seconds > max)
+        return std::nullopt;
+    return seconds;
 }
 
 } // namespace smt

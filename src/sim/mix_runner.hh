@@ -71,6 +71,18 @@ MeasureOptions defaultMeasureOptions();
  *  parser for budget and count flags and their environment twins. */
 std::optional<std::uint64_t> parseWholeNumber(const char *text);
 
+/** The longest duration any seconds flag accepts: 1e9 s, about 31
+ *  years. A steady_clock deadline that far ahead still fits in
+ *  nanoseconds, so no wait built from such a value overflows. */
+inline constexpr double kMaxSeconds = 1e9;
+
+/** `text` as seconds: one decimal number and nothing else (no space,
+ *  `+`, hex prefix or trailing byte), finite and within [min, max];
+ *  nullopt otherwise. The one parser for seconds flags and their
+ *  environment twins. */
+std::optional<double> parseSeconds(const char *text, double min,
+                                   double max);
+
 } // namespace smt
 
 #endif // SMT_SIM_MIX_RUNNER_HH

@@ -82,16 +82,6 @@ RemoteResultStore::setTraceContext(const std::string &trace_id)
 }
 
 bool
-RemoteResultStore::postTrace(const std::string &jsonl)
-{
-    if (jsonl.empty())
-        return true;
-    const std::optional<net::HttpResponse> resp =
-        exchange("POST", "/v1/trace", jsonl);
-    return resp.has_value() && resp->ok();
-}
-
-bool
 RemoteResultStore::serverSupportsLz() const
 {
     int known = lzSupport_.load(std::memory_order_relaxed);
@@ -197,22 +187,6 @@ RemoteResultStore::store(const std::string &digest, const SmtConfig &cfg,
                                   : client_.lastError().c_str());
 }
 
-std::optional<double>
-RemoteResultStore::observedCost(const std::string &digest) const
-{
-    const std::optional<net::HttpResponse> resp =
-        exchange("GET", "/v1/costs/" + digest);
-    if (!resp.has_value() || !resp->ok())
-        return std::nullopt;
-    Json doc;
-    if (!Json::parse(resp->body, doc)
-        || doc.type() != Json::Type::Object || !doc.has("seconds")
-        || !doc.at("seconds").isNumber())
-        return std::nullopt;
-    const double seconds = doc.at("seconds").asDouble();
-    return seconds > 0.0 ? std::optional<double>(seconds) : std::nullopt;
-}
-
 std::map<std::string, double>
 RemoteResultStore::observedCosts() const
 {
@@ -268,12 +242,6 @@ RemoteResultStore::refreshMarkers(
     }
     for (const std::string &digest : digests)
         markInProgress(digest, ttl_seconds);
-}
-
-void
-RemoteResultStore::clearInProgress(const std::string &digest)
-{
-    exchange("DELETE", "/v1/markers/" + digest);
 }
 
 void
@@ -378,29 +346,6 @@ RemoteResultStore::description() const
     if (url_.path != "/")
         desc += url_.path;
     return desc;
-}
-
-bool
-RemoteResultStore::hasEntry(const std::string &digest) const
-{
-    const std::optional<net::HttpResponse> resp =
-        exchange("HEAD", "/v1/entries/" + digest);
-    return resp.has_value() && resp->ok();
-}
-
-bool
-RemoteResultStore::ping(std::string *error) const
-{
-    const std::optional<net::HttpResponse> resp =
-        exchange("GET", "/v1/ping");
-    if (resp.has_value() && resp->ok())
-        return true;
-    if (error != nullptr)
-        *error = resp.has_value()
-                     ? "unexpected status "
-                           + std::to_string(resp->status)
-                     : client_.lastError();
-    return false;
 }
 
 std::optional<Json>

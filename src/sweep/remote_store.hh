@@ -11,7 +11,8 @@
  * GETs check the server's ETag against the received bytes, PUTs
  * declare X-Content-Digest so the server rejects torn uploads — which
  * makes a network flake indistinguishable from a cache miss, the safe
- * failure mode.
+ * failure mode. Trace spans never travel to the store; only a sweep's
+ * trace id does, as the X-Smt-Trace header on every request.
  *
  * Two protocol features negotiate per server (docs/PROTOCOL.md):
  *
@@ -56,14 +57,11 @@ class RemoteResultStore final : public ResultStore
     void store(const std::string &digest, const SmtConfig &cfg,
                const MeasureOptions &opts, const SimStats &stats,
                double measure_seconds = 0.0) override;
-    std::optional<double>
-    observedCost(const std::string &digest) const override;
     std::map<std::string, double> observedCosts() const override;
     void markInProgress(const std::string &digest,
                         double ttl_seconds) override;
     void refreshMarkers(const std::vector<std::string> &digests,
                         double ttl_seconds) override;
-    void clearInProgress(const std::string &digest) override;
     void markOrphaned(const std::string &digest) override;
     std::string readMarkerText(const std::string &digest) const override;
     bool tryAdopt(const std::string &digest,
@@ -74,14 +72,9 @@ class RemoteResultStore final : public ResultStore
     std::optional<Json> readManifest() const override;
     std::string description() const override;
 
-    /** Entry presence without transferring the body (HEAD). */
-    bool hasEntry(const std::string &digest) const;
-
-    /** One round-trip liveness probe (GET /v1/ping). */
-    bool ping(std::string *error = nullptr) const;
-
-    /** The server's full /v1/ping document (capability inspection:
-     *  schema, auth mode, encodings, stats availability). */
+    /** The server's /v1/ping document, the liveness probe and
+     *  capability list (schema, auth mode, encodings, stats
+     *  availability); nullopt with `error` set when unreachable. */
     std::optional<Json> pingDocument(std::string *error = nullptr) const;
 
     /** The server's live metrics snapshot (GET /v1/stats); nullopt
@@ -90,15 +83,6 @@ class RemoteResultStore final : public ResultStore
 
     /** Stamp every subsequent request with this X-Smt-Trace id. */
     void setTraceContext(const std::string &trace_id) override;
-
-    /**
-     * Ship a batch of JSONL trace spans to the server (`POST
-     * /v1/trace`), so a remote worker's per-digest spans land in the
-     * store's <dir>/traces/ capture instead of dying with the worker's
-     * host. False when the server is unreachable or predates the route
-     * (an old peer 404s) — span loss is never an error.
-     */
-    bool postTrace(const std::string &jsonl);
 
   private:
     std::optional<net::HttpResponse>

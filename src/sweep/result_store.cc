@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -67,13 +68,17 @@ epochSeconds()
 double
 markerSkewSlackSeconds()
 {
-    if (const char *env = std::getenv("SMTSWEEP_MARKER_SLACK");
-        env != nullptr) {
-        char *end = nullptr;
-        const double slack = std::strtod(env, &end);
-        if (end != env && slack >= 0.0)
-            return slack;
-    }
+    const char *env = std::getenv("SMTSWEEP_MARKER_SLACK");
+    if (env == nullptr)
+        return 10.0;
+    if (const std::optional<double> slack =
+            parseSeconds(env, 0.0, kMaxSeconds))
+        return *slack;
+    // Every marker classification lands here: warn once, not per
+    // marker.
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true))
+        smt_warn("ignoring SMTSWEEP_MARKER_SLACK=%s", env);
     return 10.0;
 }
 
@@ -191,12 +196,6 @@ LocalDirStore::store(const std::string &digest, const SmtConfig &cfg,
 {
     cache_.store(digest, cfg, opts, stats, measure_seconds);
     clearInProgress(digest);
-}
-
-std::optional<double>
-LocalDirStore::observedCost(const std::string &digest) const
-{
-    return cache_.observedCost(digest);
 }
 
 std::map<std::string, double>

@@ -1,8 +1,9 @@
 /**
  * @file
  * The shared result store: the ResultCache hardened for concurrent
- * multi-process writers, behind an interface a remote backend can
- * implement later.
+ * multi-process writers, behind the interface the remote backend
+ * (sweep/remote_store.hh) implements too. The interface holds what
+ * the sweep tools call and nothing more.
  *
  * On top of the cache's atomic temp+rename entry writes, the store
  * adds two pieces of coordinator-visible state:
@@ -20,9 +21,11 @@
  *    advisory observability, not locks.
  *
  *  - a store-level manifest: the coordinator records the full expected
- *    digest set (with shard assignments) before launching workers, so
- *    any later process can audit done/in-progress/orphaned/pending
- *    work without re-expanding the experiment.
+ *    digest set (with shard assignments) and the cost snapshot it
+ *    planned with before launching workers. Workers re-plan from that
+ *    snapshot (dist/shard.hh); any later process can audit
+ *    done/in-progress/orphaned/pending work from the digest list
+ *    without re-expanding the experiment.
  */
 
 #ifndef SMT_SWEEP_RESULT_STORE_HH
@@ -63,10 +66,15 @@ const char *toString(WorkState state);
  *  expired for longer than the clock-skew slack. */
 inline constexpr double kMarkerTtlSeconds = 60.0;
 
+/** The shortest lease `--marker-ttl` accepts: a millisecond. The
+ *  heartbeat refreshes every ttl/3, so a shorter lease would spin. */
+inline constexpr double kMinMarkerTtlSeconds = 1e-3;
+
 /** Slack added to a marker deadline before expiry counts as death —
  *  absorbs client/server clock skew and a late heartbeat. Default
- *  10 s; the SMTSWEEP_MARKER_SLACK environment variable (seconds)
- *  overrides it, which tests use to exercise expiry quickly. */
+ *  10 s; the SMTSWEEP_MARKER_SLACK environment variable (seconds, in
+ *  0..kMaxSeconds) overrides it, which tests use to exercise expiry
+ *  quickly. An unusable value warns once and keeps the default. */
 double markerSkewSlackSeconds();
 
 /** This process's advisory claim document ({pid, host, deadline});
@@ -105,13 +113,9 @@ class ResultStore
                        const MeasureOptions &opts, const SimStats &stats,
                        double measure_seconds = 0.0) = 0;
 
-    /** The observed measurement cost stored with an entry, if any. */
-    virtual std::optional<double>
-    observedCost(const std::string &digest) const = 0;
-
-    /** Every stored entry's observed cost in one pass — the bulk form
-     *  the coordinator's cost feedback uses (one round trip against a
-     *  remote store, not one per digest). */
+    /** Every stored entry's observed cost, in one pass — what the
+     *  coordinator's cost feedback reads (one round trip against a
+     *  remote store). */
     virtual std::map<std::string, double> observedCosts() const = 0;
 
     /** Advisory claim: record that this process is measuring `digest`,
@@ -136,9 +140,6 @@ class ResultStore
         for (const std::string &digest : digests)
             markInProgress(digest, ttl_seconds);
     }
-
-    /** Drop this digest's marker (normally done by store()). */
-    virtual void clearInProgress(const std::string &digest) = 0;
 
     /**
      * Declare abandoned work: write a marker that every observer
@@ -206,12 +207,9 @@ class LocalDirStore final : public ResultStore
     void store(const std::string &digest, const SmtConfig &cfg,
                const MeasureOptions &opts, const SimStats &stats,
                double measure_seconds = 0.0) override;
-    std::optional<double>
-    observedCost(const std::string &digest) const override;
     std::map<std::string, double> observedCosts() const override;
     void markInProgress(const std::string &digest,
                         double ttl_seconds) override;
-    void clearInProgress(const std::string &digest) override;
     void markOrphaned(const std::string &digest) override;
     std::string readMarkerText(const std::string &digest) const override;
     bool tryAdopt(const std::string &digest,
@@ -231,6 +229,10 @@ class LocalDirStore final : public ResultStore
     /** Write an explicit marker document (the wire protocol records
      *  the *client's* {pid, host}, not this process's). */
     void writeMarker(const std::string &digest, const Json &marker);
+
+    /** Drop this digest's marker (store() and the server's entry PUT
+     *  do, once the entry is committed). */
+    void clearInProgress(const std::string &digest);
 
   private:
     std::string markerPath(const std::string &digest) const;

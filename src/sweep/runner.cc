@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
-#include "sweep/remote_store.hh"
 #include "sweep/result_store.hh"
 #include "sweep/serialize.hh"
 #include "sweep/thread_pool.hh"
@@ -91,19 +90,10 @@ runPoints(const std::vector<SweepPoint> &points, const RunnerOptions &ropts)
 
     // One span per digest transition, tagged with this worker's
     // identity so a merged fleet trace attributes every measurement.
-    // Against a *remote* store the emitted lines are also buffered
-    // byte-identically and flushed to the server (`POST /v1/trace`)
-    // when the sweep settles — unless they carry no trace id (a shard
-    // worker's untraced report stream). Both span-emitting passes run
-    // on this thread, so the buffer needs no lock.
     char hostbuf[256] = {};
     if (::gethostname(hostbuf, sizeof hostbuf - 1) != 0)
         hostbuf[0] = '\0';
     const std::string host = hostbuf[0] != '\0' ? hostbuf : "unknown";
-    auto *remote = ropts.trace != nullptr && !ropts.trace->traceId().empty()
-                       ? dynamic_cast<RemoteResultStore *>(store.get())
-                       : nullptr;
-    std::string span_buffer;
     const auto span = [&](const char *event, const PointResult &result,
                           double seconds = -1.0, double dur_us = -1.0) {
         if (ropts.trace == nullptr)
@@ -118,12 +108,7 @@ runPoints(const std::vector<SweepPoint> &points, const RunnerOptions &ropts)
             fields.set("seconds", Json(seconds));
         if (dur_us >= 0.0)
             fields.set("dur_us", Json(dur_us));
-        const std::string line =
-            ropts.trace->emit(event, std::move(fields));
-        if (remote != nullptr) {
-            span_buffer += line;
-            span_buffer += '\n';
-        }
+        ropts.trace->emit(event, std::move(fields));
     };
     // Microseconds of steady clock spent in `fn` — the dur_us stamped
     // on hit/claimed/stored spans (store round trips).
@@ -289,12 +274,6 @@ runPoints(const std::vector<SweepPoint> &points, const RunnerOptions &ropts)
         ++done;
         report_progress();
     }
-
-    // Merge this worker's spans into the server-side capture. Best
-    // effort: an old server 404s and the local trace file still has
-    // everything.
-    if (remote != nullptr)
-        remote->postTrace(span_buffer);
     return results;
 }
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-
-#include <sys/stat.h>
 
 #include "common/logging.hh"
 #include "common/lz.hh"
@@ -255,74 +252,6 @@ StoreService::logAccess(const net::HttpRequest &req,
     accessLog_->write(rec.dump());
 }
 
-net::HttpResponse
-StoreService::ingestTrace(const net::HttpRequest &req)
-{
-    if (req.method != "POST")
-        return plain(405);
-
-    // Batch the body's lines per trace id first so each id's capture
-    // file opens once per request, not once per span. Lines append
-    // *verbatim* — byte-identical to the worker's local copy — which
-    // is what lets readers deduplicate a span seen via both paths.
-    const std::string header_id = req.headers.get(obs::kTraceHeader);
-    std::map<std::string, std::string> batches;
-    std::uint64_t accepted = 0, skipped = 0;
-    std::size_t pos = 0;
-    while (pos <= req.body.size()) {
-        const std::size_t nl = req.body.find('\n', pos);
-        const std::size_t end =
-            nl == std::string::npos ? req.body.size() : nl;
-        if (end > pos) {
-            const std::string line = req.body.substr(pos, end - pos);
-            Json doc;
-            std::string id;
-            if (Json::parse(line, doc)
-                && doc.type() == Json::Type::Object) {
-                // The line's own trace id wins; the request header
-                // covers lines that lack one. Ids become file names,
-                // so both must pass the traversal-safe charset check.
-                if (doc.has("trace")
-                    && doc.at("trace").type() == Json::Type::String
-                    && obs::validTraceId(doc.at("trace").asString()))
-                    id = doc.at("trace").asString();
-                else if (obs::validTraceId(header_id))
-                    id = header_id;
-            }
-            if (id.empty()) {
-                ++skipped;
-            } else {
-                batches[id] += line;
-                batches[id] += '\n';
-                ++accepted;
-            }
-        }
-        if (nl == std::string::npos)
-            break;
-        pos = nl + 1;
-    }
-
-    if (!batches.empty()) {
-        const std::string traces_dir = store_.dir() + "/traces";
-        ::mkdir(traces_dir.c_str(), 0777);
-        std::lock_guard<std::mutex> lock(traceMu_);
-        for (const auto &[id, text] : batches) {
-            const std::string path = traces_dir + "/" + id + ".jsonl";
-            std::FILE *f = std::fopen(path.c_str(), "a");
-            if (f == nullptr)
-                return plain(500, "cannot persist trace capture\n");
-            std::fwrite(text.data(), 1, text.size(), f);
-            std::fclose(f);
-        }
-    }
-
-    metrics_.counter("store.trace.spans").inc(accepted);
-    Json out = Json::object();
-    out.set("accepted", Json(accepted));
-    out.set("skipped", Json(skipped));
-    return jsonResponse(200, out);
-}
-
 bool
 StoreService::authorized(const net::HttpRequest &req) const
 {
@@ -400,13 +329,8 @@ StoreService::dispatch(const net::HttpRequest &req)
         // Capability bit for /v1/stats, so clients can tell a server
         // without the route from one that is rejecting them.
         doc.set("stats", Json(true));
-        // Likewise for POST /v1/trace span ingest.
-        doc.set("trace", Json(true));
         return jsonResponse(200, doc);
     }
-
-    if (kind == "trace" && path.size() == 1)
-        return ingestTrace(req);
 
     if (kind == "stats" && path.size() == 1) {
         if (req.method != "GET")
@@ -568,18 +492,6 @@ StoreService::dispatch(const net::HttpRequest &req)
         return jsonResponse(200, doc);
     }
 
-    if (kind == "costs") {
-        if (req.method != "GET")
-            return plain(405);
-        const std::optional<double> seconds =
-            store_.observedCost(digest);
-        if (!seconds.has_value())
-            return plain(404);
-        Json doc = Json::object();
-        doc.set("seconds", Json(*seconds));
-        return jsonResponse(200, doc);
-    }
-
     if (kind == "markers") {
         if (path.size() == 3 && path[2] == "orphan") {
             if (req.method != "POST")
@@ -605,11 +517,6 @@ StoreService::dispatch(const net::HttpRequest &req)
                 return plain(400, "marker body is not a JSON object\n");
             std::lock_guard<std::mutex> lock(mu_);
             store_.writeMarker(digest, marker);
-            return plain(204);
-        }
-        if (req.method == "DELETE") {
-            std::lock_guard<std::mutex> lock(mu_);
-            store_.clearInProgress(digest);
             return plain(204);
         }
         return plain(405);

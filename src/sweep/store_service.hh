@@ -27,7 +27,6 @@
  *   GET    /v1/state/<digest>           {"state": "done"|...}
  *   GET    /v1/costs                    {"costs": {digest: seconds}}
  *                                       every observed cost, in bulk
- *   GET    /v1/costs/<digest>           {"seconds": s} observed cost
  *   GET    /v1/markers/<digest>         raw marker bytes
  *   PUT    /v1/markers/<digest>         write the client's marker
  *   POST   /v1/markers                  bulk lease refresh: {"marker",
@@ -35,7 +34,6 @@
  *                                       marker on every digest not
  *                                       yet done (one round trip per
  *                                       heartbeat, not per digest)
- *   DELETE /v1/markers/<digest>         drop the marker
  *   POST   /v1/markers/<digest>/orphan  declare the work abandoned
  *   POST   /v1/claims/<digest>          claim-marker CAS: body
  *                                       {"expect": "<raw marker>",
@@ -45,12 +43,10 @@
  *                                       already done
  *   GET    /v1/manifest                 the sweep manifest
  *   PUT    /v1/manifest                 record the manifest
- *   POST   /v1/trace                    ingest batched JSONL trace
- *                                       spans: each body line lands
- *                                       verbatim in the server-side
- *                                       <dir>/traces/<id>.jsonl for
- *                                       its trace id, merging remote
- *                                       workers' spans in one place
+ *   GET    /v1/stats                    live metrics snapshot
+ *
+ * Nothing else is served: an unknown resource is 404, a known one
+ * with the wrong method 405.
  *
  * Marker/claim mutations are serialized under one mutex, which is what
  * makes the claim CAS atomic: of N workers adopting the same orphan,
@@ -165,7 +161,6 @@ class StoreService
     void logAccess(const net::HttpRequest &req,
                    const net::HttpResponse &resp, std::uint64_t us,
                    const std::string &route);
-    net::HttpResponse ingestTrace(const net::HttpRequest &req);
 
     LocalDirStore store_;
     bool verbose_;
@@ -174,7 +169,6 @@ class StoreService
 
     std::unique_ptr<obs::JsonlWriter> accessLog_;
     std::mutex accessMu_; ///< guards accessLog_ (set while serving).
-    std::mutex traceMu_;  ///< serializes trace-capture appends only.
 
     std::mutex memoMu_; ///< guards memo_ and memoBytes_.
     std::unordered_map<std::string, MemoRecord> memo_;

@@ -340,16 +340,18 @@ TEST(ResultStore, ObservedCostRoundTrips)
     const MeasureOptions opts = tinyOptions();
     const std::string digest = sweep::measurementDigest(cfg, opts);
 
-    EXPECT_FALSE(store->observedCost(digest).has_value());
+    EXPECT_TRUE(store->observedCosts().empty());
     store->store(digest, cfg, opts, measure(cfg, opts).stats, 2.5);
-    const std::optional<double> cost = store->observedCost(digest);
-    ASSERT_TRUE(cost.has_value());
-    EXPECT_NEAR(*cost, 2.5, 1e-12);
+    std::map<std::string, double> costs = store->observedCosts();
+    ASSERT_EQ(costs.count(digest), 1u);
+    EXPECT_NEAR(costs.at(digest), 2.5, 1e-12);
 
     // Entries stored without timing (pure replays) report none.
     const std::string untimed(32, 'e');
     store->store(untimed, cfg, opts, measure(cfg, opts).stats);
-    EXPECT_FALSE(store->observedCost(untimed).has_value());
+    costs = store->observedCosts();
+    EXPECT_EQ(costs.size(), 1u);
+    EXPECT_EQ(costs.count(untimed), 0u);
 }
 
 TEST(ResultStore, ManifestRoundTripsAndIsNotAnEntry)
@@ -485,7 +487,8 @@ TEST(MarkerTtl, HeartbeatKeepsLeasesFreshUntilRemoved)
     // it a cadence to drain before clearing.)
     heartbeat.remove(digest);
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    store->clearInProgress(digest);
+    static_cast<sweep::LocalDirStore *>(store.get())
+        ->clearInProgress(digest);
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     EXPECT_EQ(store->readMarkerText(digest), "");
 }
@@ -666,13 +669,6 @@ TEST(ProgressFold, TornTrailingLinesAreIgnored)
     EXPECT_EQ(spans, 1u);
     EXPECT_TRUE(forwarded.empty());
 
-    // Its relaunch reports from scratch; the old tail is gone.
-    fold.restart(1);
-    fold.feed(1, "ored\", \"digest\": \"c\"}\n");
-    EXPECT_EQ(fold.summary().pointsDone, 0u);
-    EXPECT_EQ(forwarded,
-              std::vector<std::string>{"ored\", \"digest\": \"c\"}"});
-
     ProgressSummary empty;
     EXPECT_LT(empty.etaSeconds(1.0), 0.0); // no rate yet -> unknown.
 }
@@ -716,6 +712,27 @@ TEST(Dist, WorkerArgvNamesNoFileAndNeverTheToken)
     EXPECT_EQ(std::find(local_store.begin(), local_store.end(),
                         "--store-url"),
               local_store.end());
+}
+
+TEST(Dist, WorkerArgvAlwaysStealsAndForwardsSecondsExactly)
+{
+    dist::DistOptions opts;
+    opts.smtsweepPath = "smtsweep";
+    opts.ropts.cacheDir = "store";
+    opts.ropts.markerTtlSeconds = 0.1 + 0.2; // "0.300000" at 6 digits.
+    opts.stealWaitSeconds = 1e-7;            // "0.000000" at 6 digits.
+    const std::vector<std::string> argv =
+        dist::workerShardArgs(opts, "smoke", 1, 0);
+    EXPECT_NE(std::find(argv.begin(), argv.end(), "--steal"), argv.end());
+    for (const auto &[flag, seconds] :
+         {std::pair<std::string, double>{"--marker-ttl", 0.1 + 0.2},
+          std::pair<std::string, double>{"--steal-wait", 1e-7}}) {
+        const auto it = std::find(argv.begin(), argv.end(), flag);
+        ASSERT_TRUE(it != argv.end() && it + 1 != argv.end()) << flag;
+        EXPECT_EQ(parseSeconds((it + 1)->c_str(), 0.0, kMaxSeconds),
+                  std::optional<double>(seconds))
+            << flag << " " << *(it + 1);
+    }
 }
 
 TEST(Dist, ShardedRunMergedFromSharedStoreMatchesSerialBitForBit)
@@ -815,31 +832,45 @@ TEST(Dist, SurvivingWorkerAdoptsOrphanedDigestsInsteadOfRelaunch)
     }
 }
 
-TEST(Dist, WorkersFollowTheManifestAssignmentWhenItMatches)
+TEST(Dist, WorkersReplanFromTheManifestCostSnapshot)
 {
     const NamedExperiment *smoke = sweep::findExperiment("smoke");
     ASSERT_NE(smoke, nullptr);
-    TempDir dir("manifest_assign");
+    TempDir dir("manifest_replan");
     std::unique_ptr<sweep::ResultStore> store =
         sweep::openLocalStore(dir.path());
 
+    // A cost snapshot that reorders the estimate-only plan: the
+    // coordinator planned with it, so the worker must too.
     const std::vector<SweepPoint> grid =
         smoke->spec.expand(tinyOptions());
-    const ShardPlan plan = planShards(grid, 2);
+    CostHints hints;
+    double cost = 1.0;
+    for (const auto &[digest, shard] : planShards(grid, 2).shardOfDigest) {
+        (void)shard;
+        hints[digest] = cost;
+        cost *= 3.0;
+    }
+    const ShardPlan hinted = planShards(grid, 2, hints);
+    ASSERT_NE(hinted.shardOfDigest, planShards(grid, 2).shardOfDigest);
 
-    // A manifest that swaps every assignment relative to the local
-    // plan: workers must obey it, not re-derive their own.
+    // The manifest's per-point shards disagree with that plan; they
+    // are a record for --status, never a plan a worker follows.
     sweep::Json manifest = sweep::Json::object();
     manifest.set("experiment", sweep::Json("smoke"));
     manifest.set("shardCount", sweep::Json(2u));
     sweep::Json points = sweep::Json::array();
     for (std::size_t i = 0; i < grid.size(); ++i) {
         sweep::Json p = sweep::Json::object();
-        p.set("digest", sweep::Json(plan.digests[i]));
-        p.set("shard", sweep::Json(1u - plan.shardOf[i]));
+        p.set("digest", sweep::Json(hinted.digests[i]));
+        p.set("shard", sweep::Json(1u - hinted.shardOf[i]));
         points.push(std::move(p));
     }
     manifest.set("points", std::move(points));
+    sweep::Json costs = sweep::Json::object();
+    for (const auto &[digest, seconds] : hints)
+        costs.set(digest, sweep::Json(seconds));
+    manifest.set("observedCosts", std::move(costs));
     store->writeManifest(manifest);
 
     sweep::RunnerOptions ropts;
@@ -847,16 +878,44 @@ TEST(Dist, WorkersFollowTheManifestAssignmentWhenItMatches)
     ropts.cacheDir = dir.path();
     const ShardRunResult r0 = runShard(smoke->spec, ropts, 0, 2);
 
-    // Shard 0 measured exactly the digests the manifest gave it —
-    // i.e. the *other* half of the local plan.
     std::set<std::string> expected;
-    for (const auto &[digest, shard] : plan.shardOfDigest) {
-        if (shard == 1)
+    for (const auto &[digest, shard] : hinted.shardOfDigest) {
+        if (shard == 0)
             expected.insert(digest);
     }
-    EXPECT_EQ(r0.points, expected.size());
-    for (const std::string &digest : store->storedDigests())
-        EXPECT_TRUE(expected.count(digest)) << digest;
+    EXPECT_EQ(r0.points, hinted.members[0].size());
+    const std::vector<std::string> stored = store->storedDigests();
+    EXPECT_EQ(std::set<std::string>(stored.begin(), stored.end()),
+              expected);
+}
+
+TEST(Dist, TypeConfusedManifestsNeverAbortAWorker)
+{
+    // Any client may PUT any JSON as the manifest. A worker reads only
+    // its cost snapshot, checked field by field, and otherwise plans
+    // from estimates.
+    const NamedExperiment *smoke = sweep::findExperiment("smoke");
+    ASSERT_NE(smoke, nullptr);
+    const std::vector<SweepPoint> grid =
+        smoke->spec.expand(tinyOptions());
+    const std::size_t own = planShards(grid, 2).members[0].size();
+    const std::string digest = planShards(grid, 2).digests[0];
+
+    for (const std::string &text :
+         {std::string("{\"shardCount\": \"2\", \"points\": []}"),
+          "{\"shardCount\": 2, \"points\": [{\"digest\": \"" + digest
+              + "\", \"shard\": -1}]}",
+          std::string("{\"points\": {\"a\": 1}, \"observedCosts\": 5}"),
+          "{\"observedCosts\": {\"" + digest + "\": \"slow\"}}",
+          std::string("[1, 2]")}) {
+        TempDir dir("manifest_confused");
+        sweep::openLocalStore(dir.path())
+            ->writeManifest(sweep::Json::parseOrDie(text));
+        sweep::RunnerOptions ropts;
+        ropts.measure = tinyOptions();
+        ropts.cacheDir = dir.path();
+        EXPECT_EQ(runShard(smoke->spec, ropts, 0, 2).points, own) << text;
+    }
 }
 
 TEST(Dist, AuditArtifactClassifiesManifestWork)
@@ -905,6 +964,23 @@ TEST(Dist, AuditArtifactClassifiesManifestWork)
         auditArtifact(empty.path(), "", bad_ok);
     EXPECT_FALSE(bad_ok);
     EXPECT_TRUE(no_manifest.has("error"));
+
+    // A type-confused manifest reads like a missing one: an error, not
+    // an abort.
+    for (const std::string &text :
+         {std::string("{\"experiment\": \"smoke\", \"points\": "
+                      "[{\"digest\": 7, \"shard\": 0}]}"),
+          std::string("{\"experiment\": \"smoke\", \"points\": "
+                      "{\"a\": 1}}"),
+          "{\"points\": [{\"digest\": \"" + done + "\"}]}",
+          "{\"experiment\": \"smoke\", \"points\": [{\"digest\": \""
+              + done + "\", \"shard\": -1}]}"}) {
+        store->writeManifest(sweep::Json::parseOrDie(text));
+        bad_ok = true;
+        const sweep::Json confused = auditArtifact(dir.path(), "", bad_ok);
+        EXPECT_FALSE(bad_ok) << text;
+        EXPECT_TRUE(confused.has("error")) << text;
+    }
 }
 
 TEST(Dist, ShardWorkerSpansFoldIntoItsShardCounts)
@@ -1109,10 +1185,31 @@ TEST(SmtsweepCli, MalformedCountsExitTwoBeforeAnyPointRuns)
     for (const char *args :
          {"--cycles abc", "--cycles 0", "--cycles 12x", "--cycles -5",
           "--warmup xyz", "--runs 1x", "--runs 0", "--jobs 2x",
-          "--pipe-sample 3q"}) {
+          "--pipe-sample 3q", "--marker-ttl nan", "--marker-ttl inf",
+          "--marker-ttl 5x", "--marker-ttl 0", "--steal-wait nan",
+          "--steal-wait -1"}) {
         const std::string command = std::string(SMTSWEEP_BINARY)
                                     + " --experiment fig7 --no-cache "
                                     + args + " > /dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    }
+}
+
+TEST(SmtsweepDistCli, MalformedSecondsExitTwoBeforeAnyWorkerStarts)
+{
+    // Workers are /bin/false: a value that slipped through would fail
+    // the sweep with exit 1, not 2.
+    TempDir dir("distcli");
+    for (const char *args :
+         {"--marker-ttl nan", "--marker-ttl 1e-7", "--marker-ttl 60s",
+          "--steal-wait inf", "--steal-wait -0.5"}) {
+        const std::string command =
+            std::string(SMTSWEEP_DIST_BINARY)
+            + " --experiment smoke --smtsweep /bin/false --no-progress"
+              " --cache-dir "
+            + dir.path() + " " + args + " > /dev/null 2>&1";
         const int status = std::system(command.c_str());
         ASSERT_TRUE(WIFEXITED(status)) << args;
         EXPECT_EQ(WEXITSTATUS(status), 2) << args;
@@ -1127,6 +1224,85 @@ TEST(Coordinator, LocalWorkersMergeBitIdenticalAndReportBySpans)
 TEST(Coordinator, SshWorkersMergeBitIdenticalAndReportBySpans)
 {
     coordinateSmokeSweep(/*over_ssh=*/true);
+}
+
+/** A worker binary in `dir` that exits 1 when its argv matches the
+ *  shell `pattern` and otherwise runs the real smtsweep. */
+std::string
+failingWorker(const std::string &dir, const std::string &pattern)
+{
+    const std::string path = dir + "/failing-smtsweep";
+    std::ofstream(path) << "#!/bin/sh\n"
+                           "case \" $* \" in " << pattern
+                        << ") exit 1 ;; esac\n"
+                           "exec " SMTSWEEP_BINARY " \"$@\"\n";
+    ::chmod(path.c_str(), 0755);
+    return path;
+}
+
+TEST(Coordinator, DeadWorkersDigestsAreStolenOrRecoveredBeforeTheMerge)
+{
+    const NamedExperiment *smoke = sweep::findExperiment("smoke");
+    ASSERT_NE(smoke, nullptr);
+    sweep::RunnerOptions serial;
+    serial.measure = tinyOptions();
+    serial.measure.parallel = false;
+    const sweep::SweepOutcome reference = runSweep(smoke->spec, serial);
+
+    // Shard 0's worker dies at once. An empty store holds no cost
+    // hints, so the coordinator plans exactly this.
+    TempDir dir("deadworker");
+    const std::string store = dir.path() + "/store";
+    const ShardPlan plan =
+        planShards(smoke->spec.expand(tinyOptions()), 2);
+    std::size_t shard0_uniques = 0;
+    for (const auto &[digest, shard] : plan.shardOfDigest)
+        shard0_uniques += shard == 0 ? 1 : 0;
+    ASSERT_GT(shard0_uniques, 0u);
+
+    DistOptions opts;
+    opts.shards = 2;
+    opts.jobsPerWorker = 1;
+    opts.smtsweepPath = failingWorker(dir.path(), "*\" --shard 0/2 \"*");
+    opts.showProgress = false;
+    opts.ropts.measure = tinyOptions();
+    opts.ropts.cacheDir = store;
+    DistOutcome out;
+    ASSERT_EQ(runDistributed(*smoke, opts, out), 0);
+
+    // Every digest of the dead shard was declared orphaned, then
+    // either stolen by the survivor or measured by the coordinator.
+    EXPECT_EQ(out.orphansDeclared, shard0_uniques);
+    ASSERT_EQ(out.shards.size(), 2u);
+    EXPECT_FALSE(out.shards[0].succeeded);
+    EXPECT_TRUE(out.shards[1].succeeded);
+    EXPECT_EQ(out.shards[1].stolen + out.recoveredInProcess,
+              shard0_uniques);
+
+    ASSERT_EQ(out.merged.points.size(), reference.points.size());
+    EXPECT_EQ(out.merged.cacheMisses, 0u);
+    for (std::size_t i = 0; i < reference.points.size(); ++i) {
+        EXPECT_EQ(out.merged.points[i].digest, reference.points[i].digest);
+        EXPECT_EQ(sweep::toJson(out.merged.points[i].data.stats).dump(),
+                  sweep::toJson(reference.points[i].data.stats).dump());
+    }
+    bool ok = false;
+    const sweep::Json audit = auditArtifact(store, "", ok);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(audit.at("counts").at("pending").asUInt(), 0u);
+
+    // Every worker failing is a broken setup: exit 1, nothing
+    // recovered in-process.
+    TempDir broken_dir("allworkersdead");
+    DistOptions broken = opts;
+    broken.smtsweepPath = failingWorker(broken_dir.path(), "*");
+    broken.ropts.cacheDir = broken_dir.path() + "/store";
+    DistOutcome none;
+    EXPECT_EQ(runDistributed(*smoke, broken, none), 1);
+    EXPECT_EQ(none.recoveredInProcess, 0u);
+    EXPECT_TRUE(sweep::openLocalStore(broken.ropts.cacheDir)
+                    ->storedDigests()
+                    .empty());
 }
 
 #endif // SMTSWEEP_BINARY

@@ -337,10 +337,7 @@ TEST_F(RemoteStoreTest, HitMissAndBitIdenticalReplay)
     EXPECT_EQ(remote_->storedDigests(),
               std::vector<std::string>{digest});
 
-    // Observed cost round-trips through the entry, singly and in bulk.
-    const std::optional<double> cost = remote_->observedCost(digest);
-    ASSERT_TRUE(cost.has_value());
-    EXPECT_NEAR(*cost, 1.25, 1e-12);
+    // Observed cost round-trips through the entry.
     const std::map<std::string, double> costs = remote_->observedCosts();
     ASSERT_EQ(costs.size(), 1u);
     EXPECT_NEAR(costs.at(digest), 1.25, 1e-12);
@@ -399,7 +396,7 @@ TEST_F(RemoteStoreTest, CorruptEntriesAreMissesNotErrors)
     remote_->markOrphaned(confused);
     EXPECT_EQ(remote_->state(confused), sweep::WorkState::Orphaned);
     auto *remote = static_cast<sweep::RemoteResultStore *>(remote_.get());
-    EXPECT_TRUE(remote->ping());
+    EXPECT_TRUE(remote->pingDocument().has_value());
 }
 
 TEST_F(RemoteStoreTest, ServerRejectsDigestMismatchedUploads)
@@ -442,7 +439,10 @@ TEST_F(RemoteStoreTest, MarkerStateMachineMatchesLocalSemantics)
     EXPECT_EQ(local_->state(digest), sweep::WorkState::InProgress);
     EXPECT_FALSE(remote_->readMarkerText(digest).empty());
 
-    remote_->clearInProgress(digest);
+    // Only a stored entry clears a marker over the wire; clear it
+    // through the directory the server shares.
+    static_cast<sweep::LocalDirStore *>(local_.get())
+        ->clearInProgress(digest);
     EXPECT_EQ(remote_->state(digest), sweep::WorkState::Pending);
 
     remote_->markOrphaned(digest);
@@ -608,26 +608,9 @@ TEST_F(AuthStoreTest, MissingOrWrongTokenIs401OnEveryRoute)
         EXPECT_EQ(resp->status, 401);
     }
 
-    // POST /v1/trace is a write route and sits behind the same gate:
-    // an unauthenticated peer must not be able to fill the disk with
-    // span files.
-    const std::string span_line =
-        "{\"ts\": 1.0, \"event\": \"run\", \"trace\": \"feedface00112233\"}\n";
-    for (const std::string &auth :
-         {std::string(), std::string("Bearer not-the-token"),
-          "Basic " + token_}) {
-        const std::optional<net::HttpResponse> resp =
-            raw("POST", "/v1/trace", auth, span_line);
-        ASSERT_TRUE(resp.has_value());
-        EXPECT_EQ(resp->status, 401);
-    }
-
-    // The real token opens the door (on both routes).
+    // The real token opens the door.
     std::optional<net::HttpResponse> resp =
         rawGet("/v1/ping", "Bearer " + token_);
-    ASSERT_TRUE(resp.has_value());
-    EXPECT_EQ(resp->status, 200);
-    resp = raw("POST", "/v1/trace", "Bearer " + token_, span_line);
     ASSERT_TRUE(resp.has_value());
     EXPECT_EQ(resp->status, 200);
 }
@@ -659,7 +642,7 @@ TEST_F(AuthStoreTest, TokenedClientWorksTokenlessClientDegradesToMisses)
     const auto *bad_remote =
         static_cast<sweep::RemoteResultStore *>(bad.get());
     std::string error;
-    EXPECT_FALSE(bad_remote->ping(&error));
+    EXPECT_FALSE(bad_remote->pingDocument(&error).has_value());
     EXPECT_NE(error.find("401"), std::string::npos);
     const std::optional<net::HttpResponse> ping =
         rawGet("/v1/ping", "Bearer " + token_);
@@ -717,73 +700,36 @@ TEST_F(AuthStoreTest, StatsRouteServesLiveCountersBehindTheToken)
               3u);
 }
 
-// ---- Trace ingest and the access log ---------------------------------------
+// ---- Unserved routes and the access log ------------------------------------
 
-TEST_F(RemoteStoreTest, TraceIngestPersistsSpansVerbatimPerId)
+TEST_F(RemoteStoreTest, RoutesNoToolSendsAreGone)
 {
-    // The ping document advertises the capability.
+    // Per-digest costs, span ingest and marker deletion are not
+    // routes: every tool reads costs in bulk, spans stay in the
+    // coordinator's trace file, and storing an entry clears its
+    // marker.
     net::HttpClient client("127.0.0.1", server_.port());
-    net::HttpRequest ping;
-    ping.target = "/v1/ping";
-    std::optional<net::HttpResponse> resp = client.request(ping);
-    ASSERT_TRUE(resp.has_value());
-    EXPECT_NE(resp->body.find("\"trace\": true"), std::string::npos);
-
-    // A batch mixing: two spans naming their trace id, one valid span
-    // with no id (falls back to the X-Smt-Trace header), one span
-    // whose id would escape the traces directory (falls back to the
-    // header too — the id is a file name), and one torn line
-    // (skipped).
-    const std::string own1 =
-        "{\"ts\": 1.0, \"event\": \"run\", \"trace\": \"tracepost01\"}";
-    const std::string own2 =
-        "{\"ts\": 2.0, \"event\": \"stored\", \"trace\": \"tracepost01\"}";
-    const std::string bare = "{\"ts\": 3.0, \"event\": \"hit\"}";
-    const std::string evil =
-        "{\"ts\": 4.0, \"event\": \"x\", \"trace\": \"../../escape\"}";
-    net::HttpRequest req;
-    req.method = "POST";
-    req.target = "/v1/trace";
-    req.headers.set(obs::kTraceHeader, "headerfallback1");
-    req.body = own1 + "\n" + own2 + "\n" + bare + "\n" + evil + "\n"
-               + "{\"torn\": \n";
-    resp = client.request(req);
-    ASSERT_TRUE(resp.has_value());
-    EXPECT_EQ(resp->status, 200);
-    EXPECT_NE(resp->body.find("\"accepted\": 4"), std::string::npos);
-    EXPECT_NE(resp->body.find("\"skipped\": 1"), std::string::npos);
-
-    // Per-id capture files hold the lines verbatim.
-    const auto slurp = [](const std::string &path) {
-        std::ifstream in(path);
-        return std::string(std::istreambuf_iterator<char>(in), {});
+    const auto status = [&client](const std::string &method,
+                                  const std::string &target) {
+        net::HttpRequest req;
+        req.method = method;
+        req.target = target;
+        const std::optional<net::HttpResponse> resp = client.request(req);
+        return resp.has_value() ? resp->status : -1;
     };
-    EXPECT_EQ(slurp(dir_.path() + "/traces/tracepost01.jsonl"),
-              own1 + "\n" + own2 + "\n");
-    EXPECT_EQ(slurp(dir_.path() + "/traces/headerfallback1.jsonl"),
-              bare + "\n" + evil + "\n");
-    EXPECT_FALSE(
-        fs::exists(dir_.path() + "/traces/../../escape.jsonl"));
+    const auto v1 = [](const std::string &path) { return "/v1/" + path; };
+    const std::string digest(32, 'a');
+    EXPECT_EQ(status("GET", v1("costs/" + digest)), 404);
+    EXPECT_EQ(status("POST", v1("trace")), 404);
+    EXPECT_EQ(status("DELETE", v1("markers/" + digest)), 405);
+    EXPECT_FALSE(fs::exists(dir_.path() + "/traces"));
 
-    // A second batch appends instead of truncating.
-    req.body = own1 + "\n";
-    resp = client.request(req);
-    ASSERT_TRUE(resp.has_value());
-    EXPECT_EQ(resp->status, 200);
-    EXPECT_EQ(slurp(dir_.path() + "/traces/tracepost01.jsonl"),
-              own1 + "\n" + own2 + "\n" + own1 + "\n");
-
-    // The route is POST-only.
-    net::HttpRequest get;
-    get.target = "/v1/trace";
-    resp = client.request(get);
-    ASSERT_TRUE(resp.has_value());
-    EXPECT_EQ(resp->status, 405);
-
-    // The typed client wrapper reports success/failure.
+    // The ping document advertises what is served: no span ingest.
     auto *remote = static_cast<sweep::RemoteResultStore *>(remote_.get());
-    EXPECT_TRUE(remote->postTrace(own1 + "\n"));
-    EXPECT_TRUE(remote->postTrace("")); // nothing to flush: trivially ok.
+    const std::optional<sweep::Json> ping = remote->pingDocument();
+    ASSERT_TRUE(ping.has_value());
+    EXPECT_FALSE(ping->has("trace"));
+    EXPECT_TRUE(ping->has("stats"));
 }
 
 TEST_F(AuthStoreTest, AccessLogRecordsEveryExchangeWithItsTraceId)
@@ -1167,7 +1113,8 @@ TEST_F(RemoteStoreTest, TypeConfusedMarkersNeverCrashAnyone)
         EXPECT_TRUE(state == sweep::WorkState::Orphaned
                     || state == sweep::WorkState::InProgress);
         remote_->tryAdopt(digest, remote_->readMarkerText(digest));
-        remote_->clearInProgress(digest);
+        static_cast<sweep::LocalDirStore *>(local_.get())
+            ->clearInProgress(digest);
     }
 
     // A type-confused claim body is a 400, not a server abort.
@@ -1425,9 +1372,8 @@ TEST(RemoteStore, TracedShardedSweepClosesTheLedgerOverLoopback)
     // The profiling acceptance bar: a 2-shard authed sweep with
     // --trace-out and a server access log yields a merged trace in
     // which every grid digest reaches a terminal state, the worker
-    // ledger closes (busy + idle == window), the spans the workers
-    // flushed to POST /v1/trace dedupe against their local copies,
-    // and the Chrome export is valid trace-event JSON.
+    // ledger closes (busy + idle == window), and the Chrome export is
+    // valid trace-event JSON.
     const sweep::NamedExperiment *smoke =
         sweep::findExperiment("smoke");
     ASSERT_NE(smoke, nullptr);
@@ -1469,21 +1415,12 @@ TEST(RemoteStore, TracedShardedSweepClosesTheLedgerOverLoopback)
     }
     ASSERT_GT(total_points, 0u);
 
-    // Merge the worker-local file, the server-side /v1/trace capture
-    // the workers flushed, and the server's access log — the exact
-    // file set a cross-host profile hands to smttrace.
-    const std::string capture =
-        dir.path() + "/traces/" + trace_id + ".jsonl";
-    ASSERT_TRUE(fs::exists(capture))
-        << "workers never flushed spans to POST /v1/trace";
+    // Merge the worker-side trace file and the server's access log —
+    // the exact file set a cross-host profile hands to smttrace.
     obs::TraceSet set;
     ASSERT_TRUE(set.addFile(trace_path, &error)) << error;
-    ASSERT_TRUE(set.addFile(capture, &error)) << error;
     ASSERT_TRUE(set.addFile(access_path, &error)) << error;
     EXPECT_EQ(set.skipped, 0u);
-    // Every span in the server capture is a byte-identical copy of a
-    // local one: the dedupe must have collapsed them all.
-    EXPECT_GE(set.duplicates, total_points);
 
     const obs::TraceAnalysis analysis =
         obs::analyzeTrace(set, trace_id);
@@ -1539,7 +1476,7 @@ TEST(RemoteStore, UntracedShardSpansStayOffTheStore)
 {
     // A shard worker of an untraced sweep still streams its spans (its
     // report to the coordinator), but with no trace id: the store must
-    // see neither an X-Smt-Trace header nor a POST /v1/trace.
+    // see neither an X-Smt-Trace header nor a trace request.
     const sweep::NamedExperiment *smoke =
         sweep::findExperiment("smoke");
     ASSERT_NE(smoke, nullptr);

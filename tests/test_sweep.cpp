@@ -483,6 +483,25 @@ TEST(Spec, MalformedBudgetEnvironmentKeepsTheDefaults)
         EXPECT_FALSE(parseWholeNumber(bad).has_value()) << bad;
 }
 
+TEST(Spec, SecondsParseAsWholeFiniteTokensInRange)
+{
+    const auto seconds = [](const char *text, double min = 0.0,
+                            double max = kMaxSeconds) {
+        return parseSeconds(text, min, max);
+    };
+    EXPECT_EQ(seconds("2.5"), std::optional<double>(2.5));
+    EXPECT_EQ(seconds("0"), std::optional<double>(0.0));
+    EXPECT_EQ(seconds("1e9"), std::optional<double>(kMaxSeconds));
+    // The coordinator's %.17g forwarding reads back exactly.
+    EXPECT_EQ(seconds("0.30000000000000004"),
+              std::optional<double>(0.1 + 0.2));
+    for (const char *bad : {"", "abc", "5x", "nan", "inf", "-inf", "-1",
+                            "+5", " 5", "5 ", "0x10", "1e400", "2e9"})
+        EXPECT_FALSE(seconds(bad).has_value()) << bad;
+    EXPECT_FALSE(seconds("0", 1e-3).has_value());
+    EXPECT_FALSE(seconds("2", 0.0, 1.0).has_value());
+}
+
 TEST(Spec, UnknownKnobsAreFatal)
 {
     // Re-exec instead of forking: other tests may have started the

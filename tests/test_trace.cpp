@@ -108,13 +108,12 @@ TEST(TraceSet, SkipsTornMalformedAndForeignLinesWithoutAborting)
 
 TEST(TraceSet, ByteIdenticalDuplicatesCollapseAcrossFiles)
 {
-    // The same span legitimately lands in the worker's local file and
-    // the store's server-side /v1/trace capture; analysis must count
-    // it once.
+    // The same span reaches the reader twice when a trace file is
+    // passed alongside a copy of itself; analysis must count it once.
     const std::string line = span("run", kTrace, kD1, 100.0, 5.0, 2e6);
     obs::TraceSet set;
     set.addText(line + span("stored", kTrace, kD1, 100.1, 5.1, 80.0));
-    set.addText(line); // second "file": the server capture.
+    set.addText(line); // second "file": the copy.
 
     EXPECT_EQ(set.events.size(), 2u);
     EXPECT_EQ(set.duplicates, 1u);

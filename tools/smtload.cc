@@ -38,6 +38,7 @@
 
 #include "net/http_client.hh"
 #include "net/http_server.hh"
+#include "sim/mix_runner.hh"
 #include "sim/simspeed.hh"
 #include "sweep/digest.hh"
 #include "sweep/json.hh"
@@ -392,16 +393,19 @@ main(int argc, char **argv)
         else if (std::strcmp(arg, "--connections") == 0)
             levels_spec = next_arg(i);
         else if (std::strcmp(arg, "--seconds") == 0) {
+            // A window shorter than a millisecond measures nothing.
+            constexpr double min_window = 1e-3;
             const char *value = next_arg(i);
-            char *end = nullptr;
-            seconds = std::strtod(value, &end);
-            if (end == value || *end != '\0' || seconds <= 0) {
+            const std::optional<double> s =
+                parseSeconds(value, min_window, kMaxSeconds);
+            if (!s) {
                 std::fprintf(stderr,
-                             "smtload: --seconds needs a positive "
-                             "number, got \"%s\"\n",
-                             value);
+                             "smtload: --seconds needs seconds in "
+                             "%g..%g, got \"%s\"\n",
+                             min_window, kMaxSeconds, value);
                 return usage(2);
             }
+            seconds = *s;
         }
         else if (std::strcmp(arg, "--keyspace") == 0) {
             const char *value = next_arg(i);

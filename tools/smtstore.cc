@@ -161,18 +161,16 @@ main(int argc, char **argv)
             token_file = next_arg(i);
         else if (std::strcmp(arg, "--idle-timeout") == 0) {
             const char *value = next_arg(i);
-            char *end = nullptr;
-            idle_timeout = std::strtod(value, &end);
-            // Written so NaN fails too.
-            if (end == value || *end != '\0'
-                || !(idle_timeout >= 0
-                     && idle_timeout <= net::kMaxIdleTimeoutSeconds)) {
+            const std::optional<double> s =
+                parseSeconds(value, 0.0, net::kMaxIdleTimeoutSeconds);
+            if (!s) {
                 std::fprintf(stderr,
                              "smtstore: --idle-timeout needs seconds in "
                              "0..%g, got \"%s\"\n",
                              net::kMaxIdleTimeoutSeconds, value);
                 return usage(2);
             }
+            idle_timeout = *s;
         }
         else if (std::strcmp(arg, "--max-connections") == 0)
             max_connections = count_arg(i, 1, UINT64_MAX);
@@ -245,14 +243,11 @@ main(int argc, char **argv)
             }
         }
         std::printf("smtstore at %s is alive (schema %s, auth %s, "
-                    "encodings %s, stats %s, trace %s)\n",
+                    "encodings %s, stats %s)\n",
                     ping_url.c_str(), scalar("schema").c_str(),
                     scalar("auth").c_str(),
                     encodings.empty() ? "identity" : encodings.c_str(),
                     doc->has("stats") && doc->at("stats").asBool()
-                        ? "yes"
-                        : "no",
-                    doc->has("trace") && doc->at("trace").asBool()
                         ? "yes"
                         : "no");
         return 0;

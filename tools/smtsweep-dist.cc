@@ -17,9 +17,10 @@
  *       audit a store against its manifest (done / in-progress /
  *       orphaned / pending work), optionally as JSON.
  *
- * Worker deaths are absorbed by orphan-aware work stealing (idle
- * workers adopt the dead shard's digests through the store claim CAS)
- * unless --no-steal asks for the classic per-shard relaunch.
+ * Worker deaths are absorbed by orphan-aware work stealing: idle
+ * workers adopt the dead shard's digests through the store claim CAS,
+ * and the coordinator measures whatever nobody adopted before the
+ * merge. A shard is never relaunched.
  */
 
 #include <unistd.h>
@@ -69,10 +70,6 @@ usage(int code)
         "  --marker-ttl S      worker marker lease seconds (default\n"
         "                      60); peers adopt work whose lease has\n"
         "                      expired past the clock-skew slack\n"
-        "  --retries K         relaunches per failed shard with\n"
-        "                      --no-steal (default 1)\n"
-        "  --no-steal          relaunch dead shards instead of letting\n"
-        "                      surviving workers adopt their orphans\n"
         "  --steal-wait S      orphan-adoption grace seconds per\n"
         "                      worker (default 10)\n"
         "  --jobs N            pool threads per worker (default:\n"
@@ -92,9 +89,7 @@ usage(int code)
         "  --trace-out FILE    append JSONL trace spans to FILE: the\n"
         "                      coordinator's own and, verbatim, every\n"
         "                      span its workers stream back (local or\n"
-        "                      --hosts), all under one trace id; with\n"
-        "                      --store-url workers also flush theirs to\n"
-        "                      the server's /v1/trace capture. FILE\n"
+        "                      --hosts), all under one trace id. FILE\n"
         "                      alone is a complete profile for smttrace\n"
         "  --no-progress       no live progress line on stderr\n"
         "  --status            audit the store manifest and exit\n"
@@ -106,7 +101,7 @@ usage(int code)
 /** `smtsweep` in this executable's directory (the normal build tree
  *  layout); "./smtsweep" when /proc/self/exe is unreadable. execv()
  *  does not search PATH, so main() verifies the result is runnable
- *  before any shard burns its retries on exit 127. */
+ *  before every shard fails with exit 127. */
 std::string
 defaultWorkerPath()
 {
@@ -167,6 +162,22 @@ main(int argc, char **argv)
     auto positive = [&](int &i) {
         return static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
     };
+    // Every seconds flag: a finite number in [min, kMaxSeconds]. The
+    // workers parse the forwarded value with the same parser.
+    auto seconds_arg = [&](int &i, double min) {
+        const char *flag = argv[i];
+        const char *value = next_arg(i);
+        const std::optional<double> s =
+            parseSeconds(value, min, kMaxSeconds);
+        if (!s) {
+            std::fprintf(stderr,
+                         "smtsweep-dist: %s needs seconds in %g..%g, got "
+                         "\"%s\"\n",
+                         flag, min, kMaxSeconds, value);
+            std::exit(2);
+        }
+        return *s;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -181,36 +192,13 @@ main(int argc, char **argv)
             store_token = next_arg(i);
         else if (std::strcmp(arg, "--store-token-file") == 0)
             store_token_file = next_arg(i);
-        else if (std::strcmp(arg, "--marker-ttl") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            opts.ropts.markerTtlSeconds = std::strtod(value, &end);
-            if (end == value || opts.ropts.markerTtlSeconds <= 0.0) {
-                std::fprintf(stderr,
-                             "smtsweep-dist: --marker-ttl needs "
-                             "positive seconds, got \"%s\"\n",
-                             value);
-                return usage(2);
-            }
-        }
-        else if (std::strcmp(arg, "--no-steal") == 0)
-            opts.steal = false;
-        else if (std::strcmp(arg, "--steal-wait") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            opts.stealWaitSeconds = std::strtod(value, &end);
-            if (end == value || opts.stealWaitSeconds < 0.0) {
-                std::fprintf(stderr,
-                             "smtsweep-dist: --steal-wait needs "
-                             "seconds, got \"%s\"\n",
-                             value);
-                return usage(2);
-            }
-        }
+        else if (std::strcmp(arg, "--marker-ttl") == 0)
+            opts.ropts.markerTtlSeconds =
+                seconds_arg(i, sweep::kMinMarkerTtlSeconds);
+        else if (std::strcmp(arg, "--steal-wait") == 0)
+            opts.stealWaitSeconds = seconds_arg(i, 0.0);
         else if (std::strcmp(arg, "--ssh") == 0)
             opts.sshProgram = next_arg(i);
-        else if (std::strcmp(arg, "--retries") == 0)
-            opts.retries = static_cast<unsigned>(count_arg(i, 0, UINT_MAX));
         else if (std::strcmp(arg, "--jobs") == 0)
             opts.jobsPerWorker = positive(i);
         else if (std::strcmp(arg, "--smtsweep") == 0)

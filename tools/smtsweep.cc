@@ -199,6 +199,21 @@ main(int argc, char **argv)
         }
         return *n;
     };
+    // Every seconds flag: a finite number in [min, kMaxSeconds].
+    auto seconds_arg = [&](int &i, double min) {
+        const char *flag = argv[i];
+        const char *value = next_arg(i);
+        const std::optional<double> s =
+            smt::parseSeconds(value, min, smt::kMaxSeconds);
+        if (!s) {
+            std::fprintf(stderr,
+                         "smtsweep: %s needs seconds in %g..%g, got "
+                         "\"%s\"\n",
+                         flag, min, smt::kMaxSeconds, value);
+            std::exit(2);
+        }
+        return *s;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -211,18 +226,8 @@ main(int argc, char **argv)
             store_token = next_arg(i);
         else if (std::strcmp(arg, "--store-token-file") == 0)
             store_token_file = next_arg(i);
-        else if (std::strcmp(arg, "--marker-ttl") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            ropts.markerTtlSeconds = std::strtod(value, &end);
-            if (end == value || ropts.markerTtlSeconds <= 0.0) {
-                std::fprintf(stderr,
-                             "smtsweep: --marker-ttl needs positive "
-                             "seconds, got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        }
+        else if (std::strcmp(arg, "--marker-ttl") == 0)
+            ropts.markerTtlSeconds = seconds_arg(i, kMinMarkerTtlSeconds);
         else if (std::strcmp(arg, "--no-cache") == 0)
             ropts.cacheDir.clear();
         else if (std::strcmp(arg, "--require-cached") == 0)
@@ -244,18 +249,8 @@ main(int argc, char **argv)
         }
         else if (std::strcmp(arg, "--steal") == 0)
             wopts.steal.enabled = true;
-        else if (std::strcmp(arg, "--steal-wait") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            wopts.steal.waitSeconds = std::strtod(value, &end);
-            if (end == value || wopts.steal.waitSeconds < 0.0) {
-                std::fprintf(stderr,
-                             "smtsweep: --steal-wait needs seconds, "
-                             "got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        }
+        else if (std::strcmp(arg, "--steal-wait") == 0)
+            wopts.steal.waitSeconds = seconds_arg(i, 0.0);
         else if (std::strcmp(arg, "--stall-report") == 0)
             stall_report = true;
         else if (std::strcmp(arg, "--trace-out") == 0)
@@ -396,7 +391,7 @@ main(int argc, char **argv)
         // The runner's spans are the worker's only report. They join
         // the sweep's trace when the coordinator exports one; without
         // it they carry no trace id, which keeps them out of the
-        // store's access log and /v1/trace capture.
+        // store's access log.
         const char *trace_id = std::getenv(smt::obs::kTraceEnvVar);
         smt::obs::TraceWriter spans(stdout,
                                     trace_id != nullptr ? trace_id : "");

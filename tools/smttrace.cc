@@ -12,9 +12,8 @@
  *       that never reached a terminal state (stored/hit).
  *
  * Readers tolerate malformed, torn, and foreign lines (counted,
- * skipped, never fatal) and collapse byte-identical duplicates — a
- * worker's span legitimately appears both in its local trace file and
- * in the store's server-side /v1/trace capture.
+ * skipped, never fatal) and collapse byte-identical duplicates, so a
+ * file passed twice, or a copy beside its original, counts once.
  *
  * Outputs beyond the text report:
  *   --json PATH        the machine-readable summary ("smt-trace-v1");
@@ -45,8 +44,8 @@ usage(int code)
         code == 0 ? stdout : stderr,
         "usage: smttrace FILE [FILE ...] [options]\n"
         "\n"
-        "Analyze sweep trace files (--trace-out spans, server-side\n"
-        "/v1/trace captures) joined with smtstore access logs.\n"
+        "Analyze sweep trace files (--trace-out spans) joined with\n"
+        "smtstore access logs.\n"
         "\n"
         "options:\n"
         "  --access-log F  ingest an smtstore --access-log file\n"
