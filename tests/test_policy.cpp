@@ -3,18 +3,22 @@
  * Unit tests for the policy layer: the priority ordering each fetch
  * policy produces on a hand-built PipelineState, the candidate ordering
  * of each issue policy, registry resolution (including custom policy
- * registration through SmtConfig name overrides), and a golden-stats
- * regression pinning the refactored core to the pre-refactor cycle
- * behaviour on the RR and ICOUNT.2.8 machines.
+ * registration through SmtConfig name overrides), and golden-stats
+ * regressions: the refactored core against the pre-refactor cycle
+ * behaviour on the RR and ICOUNT.2.8 machines, and every paper policy
+ * pair against its recorded statistics and stall ledger.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <string>
 
 #include "core/pipeline_state.hh"
 #include "policy/registry.hh"
 #include "sim/simulator.hh"
+#include "sweep/spec.hh"
 #include "workload/mix.hh"
 
 namespace smt
@@ -314,6 +318,125 @@ TEST(GoldenStats, Icount28MatchesPreRefactorCore)
     EXPECT_EQ(s.condBranchMispredicts, 88u);
     EXPECT_EQ(s.dcache.misses, 1261u);
     EXPECT_EQ(s.optimisticSquashes, 2467u);
+}
+
+/** One paper policy pair's statistics: 4 threads, RR.1.8 partitioning,
+ *  seed 1, mixForRun, 6000 cycles. */
+struct PairGolden
+{
+    const char *fetch;
+    const char *issue;
+
+    /** The counters a single divergent cycle anywhere would disturb. */
+    struct
+    {
+        std::uint64_t cycles, committed, fetched, fetchedWrongPath,
+            issued, issuedWrongPath, optimisticSquashes, mispredicts,
+            dcacheMisses;
+    } stats;
+
+    /** Each stall-ledger cause, summed over the threads. */
+    struct
+    {
+        std::uint64_t fetchActive, fetchIcacheMiss, fetchFrontEndFull,
+            fetchNoTarget, fetchLostSelection, renameIQFull,
+            renameNoRegisters, issueOperandWait, issueFuBusy,
+            issueNoCandidatesCycles;
+    } ledger;
+};
+
+/**
+ * Every fetch policy of Section 5 (and the ICOUNT+MISSCOUNT hybrid)
+ * under OLDEST_FIRST, and every issue policy of Section 6 under ICOUNT.
+ * Recorded from the two-engine core, where each pair's devirtualized
+ * engine and the generic engine agreed on every value; any core that
+ * binds these policies must reproduce them exactly.
+ */
+constexpr PairGolden kPairGoldens[] = {
+    {"RR", "OLDEST_FIRST",
+     {6000, 3228, 3693, 256, 4151, 97, 420, 12, 191},
+     {592, 13302, 9956, 0, 150, 9704, 1487, 150815, 1869, 311}},
+    {"BRCOUNT", "OLDEST_FIRST",
+     {6000, 2997, 3548, 333, 3922, 137, 406, 13, 192},
+     {566, 14178, 9148, 0, 108, 8506, 1953, 153085, 1689, 312}},
+    {"MISSCOUNT", "OLDEST_FIRST",
+     {6000, 3400, 3783, 232, 4273, 96, 410, 13, 189},
+     {605, 13954, 9307, 0, 134, 8695, 1885, 140769, 1851, 311}},
+    {"ICOUNT", "OLDEST_FIRST",
+     {6000, 3080, 3615, 332, 4010, 152, 386, 13, 198},
+     {578, 14123, 9160, 0, 139, 8687, 1655, 146218, 1780, 312}},
+    {"IQPOSN", "OLDEST_FIRST",
+     {6000, 3360, 3773, 261, 4271, 130, 415, 13, 190},
+     {607, 13878, 9402, 0, 113, 8735, 1841, 135817, 1778, 323}},
+    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST",
+     {6000, 3289, 3684, 236, 4183, 109, 398, 13, 189},
+     {593, 14057, 9226, 0, 124, 8688, 1870, 140652, 1788, 312}},
+    {"ICOUNT", "OPT_LAST",
+     {6000, 3080, 3615, 332, 4021, 161, 379, 13, 202},
+     {578, 14271, 9040, 0, 111, 8725, 1468, 148017, 1119, 312}},
+    {"ICOUNT", "SPEC_LAST",
+     {6000, 3080, 3635, 341, 4008, 157, 366, 13, 198},
+     {583, 14122, 9174, 0, 121, 8427, 1954, 145376, 1874, 312}},
+    {"ICOUNT", "BRANCH_FIRST",
+     {6000, 3254, 3776, 348, 4182, 165, 376, 13, 209},
+     {605, 14171, 9091, 0, 133, 8547, 1725, 142260, 1394, 312}},
+};
+
+std::uint64_t
+threadSum(const std::array<std::uint64_t, kMaxThreads> &perThread)
+{
+    return std::accumulate(perThread.begin(), perThread.end(),
+                           std::uint64_t{0});
+}
+
+TEST(GoldenStats, EveryPaperPolicyPairMatchesTheParent)
+{
+    for (const PairGolden &g : kPairGoldens) {
+        const std::string what = std::string(g.fetch) + "." + g.issue;
+        SmtConfig cfg = presets::baseSmt(4);
+        sweep::applyKnob(cfg, {"fetchPolicy", sweep::Json(g.fetch)});
+        sweep::applyKnob(cfg, {"issuePolicy", sweep::Json(g.issue)});
+        Simulator sim(cfg, mixForRun(4, 0));
+        sim.run(6000);
+        sim.core().validateInvariants();
+
+        const SimStats &s = sim.stats();
+        EXPECT_EQ(s.cycles, g.stats.cycles) << what;
+        EXPECT_EQ(s.committedInstructions, g.stats.committed) << what;
+        EXPECT_EQ(s.fetchedInstructions, g.stats.fetched) << what;
+        EXPECT_EQ(s.fetchedWrongPath, g.stats.fetchedWrongPath) << what;
+        EXPECT_EQ(s.issuedInstructions, g.stats.issued) << what;
+        EXPECT_EQ(s.issuedWrongPath, g.stats.issuedWrongPath) << what;
+        EXPECT_EQ(s.optimisticSquashes, g.stats.optimisticSquashes)
+            << what;
+        EXPECT_EQ(s.condBranchMispredicts, g.stats.mispredicts) << what;
+        EXPECT_EQ(s.dcache.misses, g.stats.dcacheMisses) << what;
+
+        const StallStats &sl = s.stalls;
+        EXPECT_EQ(threadSum(sl.fetchActive), g.ledger.fetchActive) << what;
+        EXPECT_EQ(threadSum(sl.fetchIcacheMiss), g.ledger.fetchIcacheMiss)
+            << what;
+        EXPECT_EQ(threadSum(sl.fetchFrontEndFull),
+                  g.ledger.fetchFrontEndFull)
+            << what;
+        EXPECT_EQ(threadSum(sl.fetchNoTarget), g.ledger.fetchNoTarget)
+            << what;
+        EXPECT_EQ(threadSum(sl.fetchLostSelection),
+                  g.ledger.fetchLostSelection)
+            << what;
+        EXPECT_EQ(threadSum(sl.renameIQFull), g.ledger.renameIQFull)
+            << what;
+        EXPECT_EQ(threadSum(sl.renameNoRegisters),
+                  g.ledger.renameNoRegisters)
+            << what;
+        EXPECT_EQ(threadSum(sl.issueOperandWait),
+                  g.ledger.issueOperandWait)
+            << what;
+        EXPECT_EQ(threadSum(sl.issueFuBusy), g.ledger.issueFuBusy) << what;
+        EXPECT_EQ(sl.issueNoCandidatesCycles,
+                  g.ledger.issueNoCandidatesCycles)
+            << what;
+    }
 }
 
 } // namespace
