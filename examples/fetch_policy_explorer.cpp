@@ -43,9 +43,9 @@ main(int argc, char **argv)
     table.setHeader({"policy", "IPC", "int IQ-full", "fp IQ-full",
                      "wrong-path fetched"});
     const auto &registry = smt::policy::PolicyRegistry::instance();
-    for (const std::string &name : registry.fetchPolicyNames()) {
+    for (const std::string &name : registry.listFetchPolicies()) {
         smt::SmtConfig cfg = smt::presets::baseSmt(threads);
-        cfg.fetchPolicyName = name;
+        cfg.fetchPolicy = name;
         smt::presets::setFetchPartition(cfg, 2, 8);
         smt::Simulator sim(cfg, mix);
         sim.warmup(5000);

@@ -9,31 +9,6 @@ namespace smt
 {
 
 const char *
-toString(FetchPolicy p)
-{
-    switch (p) {
-      case FetchPolicy::RoundRobin: return "RR";
-      case FetchPolicy::BrCount: return "BRCOUNT";
-      case FetchPolicy::MissCount: return "MISSCOUNT";
-      case FetchPolicy::ICount: return "ICOUNT";
-      case FetchPolicy::IQPosn: return "IQPOSN";
-    }
-    return "?";
-}
-
-const char *
-toString(IssuePolicy p)
-{
-    switch (p) {
-      case IssuePolicy::OldestFirst: return "OLDEST_FIRST";
-      case IssuePolicy::OptLast: return "OPT_LAST";
-      case IssuePolicy::SpecLast: return "SPEC_LAST";
-      case IssuePolicy::BranchFirst: return "BRANCH_FIRST";
-    }
-    return "?";
-}
-
-const char *
 toString(SpeculationMode m)
 {
     switch (m) {
@@ -45,24 +20,10 @@ toString(SpeculationMode m)
 }
 
 std::string
-SmtConfig::resolvedFetchPolicyName() const
-{
-    return fetchPolicyName.empty() ? toString(fetchPolicy)
-                                   : fetchPolicyName;
-}
-
-std::string
-SmtConfig::resolvedIssuePolicyName() const
-{
-    return issuePolicyName.empty() ? toString(issuePolicy)
-                                   : issuePolicyName;
-}
-
-std::string
 SmtConfig::fetchSchemeName() const
 {
     std::ostringstream os;
-    os << resolvedFetchPolicyName() << '.' << fetchThreads << '.'
+    os << fetchPolicy << '.' << fetchThreads << '.'
        << fetchPerThread;
     return os.str();
 }
@@ -101,12 +62,10 @@ SmtConfig::validate() const
     if (pageBytes == 0 || (pageBytes & (pageBytes - 1)) != 0)
         smt_fatal("pageBytes must be a power of two");
     const auto &registry = policy::PolicyRegistry::instance();
-    if (!registry.hasFetchPolicy(resolvedFetchPolicyName()))
-        smt_fatal("unregistered fetch policy \"%s\"",
-                  resolvedFetchPolicyName().c_str());
-    if (!registry.hasIssuePolicy(resolvedIssuePolicyName()))
-        smt_fatal("unregistered issue policy \"%s\"",
-                  resolvedIssuePolicyName().c_str());
+    if (!registry.hasFetchPolicy(fetchPolicy))
+        smt_fatal("unregistered fetch policy \"%s\"", fetchPolicy.c_str());
+    if (!registry.hasIssuePolicy(issuePolicy))
+        smt_fatal("unregistered issue policy \"%s\"", issuePolicy.c_str());
 }
 
 namespace presets
@@ -117,7 +76,7 @@ baseSmt(unsigned threads)
 {
     SmtConfig cfg;
     cfg.numThreads = threads;
-    cfg.fetchPolicy = FetchPolicy::RoundRobin;
+    cfg.fetchPolicy = "RR";
     cfg.fetchThreads = 1;
     cfg.fetchPerThread = 8;
     return cfg;
@@ -136,7 +95,7 @@ SmtConfig
 icount28(unsigned threads)
 {
     SmtConfig cfg = baseSmt(threads);
-    cfg.fetchPolicy = FetchPolicy::ICount;
+    cfg.fetchPolicy = "ICOUNT";
     setFetchPartition(cfg, 2, 8);
     return cfg;
 }

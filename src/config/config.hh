@@ -5,7 +5,8 @@
  *
  * Each experiment in the paper is expressible as a small mutation of the
  * default-constructed config; named presets for the paper's machines live
- * in config.cc.
+ * in config.cc. A fetch or issue policy is one field holding its
+ * PolicyRegistry name, which the core resolves once at construction.
  */
 
 #ifndef SMT_CONFIG_CONFIG_HH
@@ -18,26 +19,6 @@
 
 namespace smt
 {
-
-/** Thread-selection priority policy for the fetch unit (Section 5.2). */
-enum class FetchPolicy : std::uint8_t
-{
-    RoundRobin, ///< RR: rotate over threads not blocked on an I-cache miss.
-    BrCount,    ///< fewest unresolved branches in decode/rename/IQ.
-    MissCount,  ///< fewest outstanding D-cache misses.
-    ICount,     ///< fewest instructions in decode/rename/IQ.
-    IQPosn,     ///< instructions farthest from the IQ heads.
-};
-
-/** Instruction-selection priority policy for issue (Section 6). */
-enum class IssuePolicy : std::uint8_t
-{
-    OldestFirst, ///< deepest-in-queue first (default).
-    OptLast,     ///< optimistically-issued loads' dependents last.
-    SpecLast,    ///< instructions behind an unresolved same-thread branch
-                 ///< last.
-    BranchFirst, ///< branches as early as possible.
-};
 
 /** Speculation restrictions explored in Section 7. */
 enum class SpeculationMode : std::uint8_t
@@ -79,16 +60,14 @@ struct SmtConfig
                                    ///< thread.
 
     // ---- Fetch / issue policy ------------------------------------------
-    FetchPolicy fetchPolicy = FetchPolicy::RoundRobin;
-    IssuePolicy issuePolicy = IssuePolicy::OldestFirst;
     /**
-     * Registry-name overrides. When non-empty these select the fetch /
-     * issue policy by PolicyRegistry name (e.g. "ICOUNT+MISSCOUNT"),
-     * reaching policies that have no enum value; when empty, the enums
-     * above select one of the paper's policies.
+     * PolicyRegistry names (policy/registry.hh). Fetch: RR, BRCOUNT,
+     * MISSCOUNT, ICOUNT or IQPOSN (Section 5.2), the hybrid
+     * ICOUNT+MISSCOUNT, or any registered plugin. Issue: OLDEST_FIRST,
+     * OPT_LAST, SPEC_LAST or BRANCH_FIRST (Section 6).
      */
-    std::string fetchPolicyName;
-    std::string issuePolicyName;
+    std::string fetchPolicy = "RR";
+    std::string issuePolicy = "OLDEST_FIRST";
     SpeculationMode speculation = SpeculationMode::Full;
     bool itagEarlyLookup = false;  ///< ITAG: probe I-cache tags a cycle
                                    ///< early; adds one front-end stage.
@@ -161,12 +140,6 @@ struct SmtConfig
         return kLogRegsPerFile * numThreads + excessRegisters;
     }
 
-    /** The registry name of the selected fetch policy. */
-    std::string resolvedFetchPolicyName() const;
-
-    /** The registry name of the selected issue policy. */
-    std::string resolvedIssuePolicyName() const;
-
     /** A human-readable fetch-scheme label, e.g. "ICOUNT.2.8". */
     std::string fetchSchemeName() const;
 
@@ -196,9 +169,7 @@ void setFetchPartition(SmtConfig &cfg, unsigned threads_per_cycle,
 
 } // namespace presets
 
-/** Short display names for the policies. */
-const char *toString(FetchPolicy p);
-const char *toString(IssuePolicy p);
+/** Short display name of a speculation mode. */
 const char *toString(SpeculationMode m);
 
 } // namespace smt

@@ -2,22 +2,16 @@
  * @file
  * SmtCore: the simultaneous multithreading pipeline of Section 2.
  *
- * The core is a thin composition root: it owns the shared
- * PipelineState and a CoreEngine (core/engine.hh) that runs the
- * back-to-front stage walk so each stage consumes state the previous
- * cycle produced:
+ * The core owns the shared PipelineState, the two policy objects and
+ * the seven stage objects, and walks the stages back to front so each
+ * stage consumes state the previous cycle produced:
  *   squash-apply -> commit -> execute -> issue -> rename/dispatch ->
  *   decode -> fetch
  *
- * The engine is chosen once at construction. For the paper's
- * registered (fetch, issue) policy pairs, the PolicyRegistry dispatch
- * table supplies a *specialized* engine whose fetch/issue stages are
- * instantiated over the concrete policy classes — the per-thread
- * priorityKey() and per-queue order() calls on the hot path resolve
- * statically. Unknown pairs (plugin policies) take the *generic*
- * engine, the same stage code dispatching through the policy vtables.
- * Both engines are cycle-identical by construction; the golden-stats
- * matrix test pins it.
+ * The fetch and issue policies are resolved once, at construction, from
+ * the registry names the config carries (policy/registry.hh); the fetch
+ * and issue stages then consult them through the policy interfaces, so
+ * every policy, builtin or plugin, runs on the same stage code.
  *
  * Pipeline shape (Figure 2b): fetch, decode, rename, queue, regread x2,
  * exec, regwrite, commit. An instruction issued at cycle t reaches the
@@ -34,24 +28,53 @@
 #ifndef SMT_CORE_CORE_HH
 #define SMT_CORE_CORE_HH
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/engine.hh"
 #include "core/pipeline_state.hh"
+#include "core/stages/commit.hh"
+#include "core/stages/decode.hh"
+#include "core/stages/execute.hh"
+#include "core/stages/fetch.hh"
+#include "core/stages/issue.hh"
+#include "core/stages/rename_dispatch.hh"
+#include "core/stages/squash.hh"
 #include "policy/fetch_policy.hh"
 #include "policy/issue_policy.hh"
 
 namespace smt
 {
 
-/** How SmtCore picks its engine. */
-enum class CoreDispatch
+/** Wall-clock nanoseconds accumulated per pipeline stage
+ *  (SmtCore::tickTimed instrumentation for the simspeed benchmarks). */
+struct StageTimes
 {
-    /** Specialized engine when the registry has one, else generic. */
-    Auto,
-    /** Always the virtual-dispatch engine (tests, A/B timing). */
-    ForceGeneric,
+    enum Stage : unsigned
+    {
+        Squash,
+        Commit,
+        Execute,
+        Issue,
+        Rename,
+        Decode,
+        Fetch,
+        kNumStages,
+    };
+
+    std::array<std::uint64_t, kNumStages> ns{};
+
+    static const char *stageName(unsigned stage);
+
+    std::uint64_t
+    totalNs() const
+    {
+        std::uint64_t sum = 0;
+        for (std::uint64_t v : ns)
+            sum += v;
+        return sum;
+    }
 };
 
 /** The SMT processor core. */
@@ -64,28 +87,18 @@ class SmtCore
      */
     SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
             BranchPredictor &bp, std::vector<ThreadProgram *> programs,
-            SimStats &stats, CoreDispatch dispatch = CoreDispatch::Auto);
+            SimStats &stats);
 
-    // The engine's stage objects hold references into state_: moving or
-    // copying a core would leave them aimed at the source object.
+    // The stage objects hold references into state_ and the policies:
+    // moving or copying a core would leave them aimed at the source.
     SmtCore(const SmtCore &) = delete;
     SmtCore &operator=(const SmtCore &) = delete;
 
     /** Advance the machine one cycle. */
-    void
-    tick()
-    {
-        engine_->tick();
-        endCycle();
-    }
+    void tick();
 
     /** tick() with per-stage wall-clock accumulation (benchmarks). */
-    void
-    tickTimed(StageTimes &out)
-    {
-        engine_->tickTimed(out);
-        endCycle();
-    }
+    void tickTimed(StageTimes &out);
 
     Cycle cycle() const { return state_.cycle; }
 
@@ -103,23 +116,12 @@ class SmtCore
     std::size_t poolAllocated() const { return state_.pool.allocated(); }
 
     /** The resolved policy objects (introspection for tests/tools). */
-    const policy::FetchPolicy &
-    fetchPolicy() const
-    {
-        return engine_->fetchPolicy();
-    }
-    const policy::IssuePolicy &
-    issuePolicy() const
-    {
-        return engine_->issuePolicy();
-    }
-
-    /** "specialized" or "generic" (introspection for tests/tools). */
-    const char *engineKind() const { return engine_->kind(); }
+    const policy::FetchPolicy &fetchPolicy() const { return *fetchPolicy_; }
+    const policy::IssuePolicy &issuePolicy() const { return *issuePolicy_; }
 
     /** Attach (or with nullptr detach) a pipeline microscope; the
-     *  stages consult the pointer, the engine drives its sample
-     *  channel. See obs/pipe_trace.hh. */
+     *  stages consult the pointer, tick() drives its sample channel.
+     *  See obs/pipe_trace.hh. */
     void setPipeTrace(obs::PipeTrace *pipe) { state_.pipe = pipe; }
 
     /**
@@ -132,16 +134,22 @@ class SmtCore
     void debugDump() const;
 
   private:
-    void
-    endCycle()
-    {
-        state_.sampleOccupancy();
-        ++state_.cycle;
-        ++state_.stats.cycles;
-    }
+    /** Close the cycle the stages just ran. */
+    void endCycle();
 
     PipelineState state_;
-    std::unique_ptr<CoreEngine> engine_;
+    std::unique_ptr<const policy::FetchPolicy> fetchPolicy_;
+    std::unique_ptr<const policy::IssuePolicy> issuePolicy_;
+
+    // Stage objects, declared in tick() order; each holds a reference
+    // to state_.
+    SquashStage squash_;
+    CommitStage commit_;
+    ExecuteStage execute_;
+    IssueStage issue_;
+    RenameDispatchStage rename_;
+    DecodeStage decode_;
+    FetchStage fetch_;
 };
 
 } // namespace smt

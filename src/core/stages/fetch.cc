@@ -4,14 +4,12 @@
 
 #include "common/logging.hh"
 #include "obs/pipe_trace.hh"
-#include "policy/fetch_policies.hh"
 
 namespace smt
 {
 
-template <typename Policy>
 unsigned
-FetchStage<Policy>::selectFetchThreads()
+FetchStage::selectFetchThreads()
 {
     unsigned num_cands = 0;
 
@@ -69,9 +67,8 @@ FetchStage<Policy>::selectFetchThreads()
     return num_selected;
 }
 
-template <typename Policy>
 DynInst *
-FetchStage<Policy>::buildInst(ThreadState &ts, ThreadID tid, Addr pc)
+FetchStage::buildInst(ThreadState &ts, ThreadID tid, Addr pc)
 {
     const StaticInst *si = ts.program->image().at(pc);
     smt_assert(si != nullptr);
@@ -103,9 +100,8 @@ FetchStage<Policy>::buildInst(ThreadState &ts, ThreadID tid, Addr pc)
     return inst;
 }
 
-template <typename Policy>
 unsigned
-FetchStage<Policy>::fetchFromThread(ThreadID tid, unsigned max_insts)
+FetchStage::fetchFromThread(ThreadID tid, unsigned max_insts)
 {
     ThreadState &ts = st_.threads[tid];
     obs::PipeTrace *const pipe = st_.pipe;
@@ -163,9 +159,8 @@ FetchStage<Policy>::fetchFromThread(ThreadID tid, unsigned max_insts)
     return fetched;
 }
 
-template <typename Policy>
 void
-FetchStage<Policy>::tick()
+FetchStage::tick()
 {
     const unsigned num_selected = selectFetchThreads();
 
@@ -220,16 +215,5 @@ FetchStage<Policy>::tick()
     if (total == 0)
         ++st_.stats.fetchCyclesIdle;
 }
-
-// One instantiation per dispatch mode: the abstract base (generic
-// virtual-dispatch core) and each registered paper policy (the
-// specialized cores the PolicyRegistry dispatch table selects).
-template class FetchStage<policy::FetchPolicy>;
-template class FetchStage<policy::RoundRobinPolicy>;
-template class FetchStage<policy::BrCountPolicy>;
-template class FetchStage<policy::MissCountPolicy>;
-template class FetchStage<policy::ICountPolicy>;
-template class FetchStage<policy::IQPosnPolicy>;
-template class FetchStage<policy::ICountMissCountPolicy>;
 
 } // namespace smt

@@ -6,14 +6,12 @@
 
 #include "isa/latency.hh"
 #include "obs/pipe_trace.hh"
-#include "policy/issue_policies.hh"
 
 namespace smt
 {
 
-template <typename Policy>
 bool
-IssueStage<Policy>::issueAllowedBySpeculationMode(const DynInst *inst) const
+IssueStage::issueAllowedBySpeculationMode(const DynInst *inst) const
 {
     if (st_.cfg.speculation == SpeculationMode::Full)
         return true;
@@ -36,9 +34,8 @@ IssueStage<Policy>::issueAllowedBySpeculationMode(const DynInst *inst) const
     return true;
 }
 
-template <typename Policy>
 bool
-IssueStage<Policy>::loadDisambiguated(const DynInst *inst) const
+IssueStage::loadDisambiguated(const DynInst *inst) const
 {
     const Addr mask = (Addr{1} << st_.cfg.disambiguationBits) - 1;
     for (const DynInst *st : st_.threads[inst->tid].pendingStores) {
@@ -49,9 +46,8 @@ IssueStage<Policy>::loadDisambiguated(const DynInst *inst) const
     return true;
 }
 
-template <typename Policy>
 void
-IssueStage<Policy>::collectCandidates(InstructionQueue &queue,
+IssueStage::collectCandidates(InstructionQueue &queue,
                                       std::vector<DynInst *> &out)
 {
     // One walk: release the entries whose hold time expired (issued
@@ -83,9 +79,8 @@ IssueStage<Policy>::collectCandidates(InstructionQueue &queue,
         });
 }
 
-template <typename Policy>
 void
-IssueStage<Policy>::issueInst(DynInst *inst)
+IssueStage::issueInst(DynInst *inst)
 {
     inst->stage = InstStage::Issued;
     inst->issueCycle = st_.cycle;
@@ -141,9 +136,8 @@ IssueStage<Policy>::issueInst(DynInst *inst)
         st_.pipe->onIssue(st_, inst);
 }
 
-template <typename Policy>
 void
-IssueStage<Policy>::tick()
+IssueStage::tick()
 {
     const unsigned big = 1u << 20;
     unsigned int_units =
@@ -213,14 +207,5 @@ IssueStage<Policy>::tick()
     if (!had_candidates)
         ++sl.issueNoCandidatesCycles;
 }
-
-// One instantiation per dispatch mode: the abstract base (generic
-// virtual-dispatch core) and each registered paper policy (the
-// specialized cores the PolicyRegistry dispatch table selects).
-template class IssueStage<policy::IssuePolicy>;
-template class IssueStage<policy::OldestFirstPolicy>;
-template class IssueStage<policy::OptLastPolicy>;
-template class IssueStage<policy::SpecLastPolicy>;
-template class IssueStage<policy::BranchFirstPolicy>;
 
 } // namespace smt

@@ -3,12 +3,6 @@
  * IssueStage: selects ready instructions from the two queues, ordered
  * by the configured IssuePolicy, within the functional-unit budgets
  * (Sections 2.1 and 6).
- *
- * Like FetchStage, the stage is a template over the policy type:
- * instantiated with the abstract policy::IssuePolicy it dispatches
- * order() virtually (plugin fallback); instantiated with a concrete
- * `final` policy the two per-cycle order() calls resolve statically
- * and the comparison lambdas inline into the sort.
  */
 
 #ifndef SMT_CORE_STAGES_ISSUE_HH
@@ -23,11 +17,10 @@ namespace smt
 {
 
 /** Issue-selection stage. */
-template <typename Policy>
 class IssueStage
 {
   public:
-    IssueStage(PipelineState &st, const Policy &pol)
+    IssueStage(PipelineState &st, const policy::IssuePolicy &pol)
         : st_(st), policy_(pol)
     {
         // Candidates come from one queue's search window at a time.
@@ -44,14 +37,11 @@ class IssueStage
     void issueInst(DynInst *inst);
 
     PipelineState &st_;
-    const Policy &policy_;
+    const policy::IssuePolicy &policy_;
 
     /** Per-cycle candidate scratch (hoisted: no per-tick allocation). */
     std::vector<DynInst *> cands_;
 };
-
-// Instantiated explicitly in issue.cc for the abstract policy and each
-// registered paper policy.
 
 } // namespace smt
 

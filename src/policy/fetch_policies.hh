@@ -3,12 +3,10 @@
  * The concrete fetch policies of Section 5.2 (plus the hybrid
  * ICOUNT+MISSCOUNT).
  *
- * These classes live in a header — not hidden behind the registry —
- * so the specialized core engines can instantiate the fetch stage
- * directly over a concrete `final` policy type and the compiler can
- * devirtualize and inline priorityKey() into the selection loop. The
- * PolicyRegistry still registers each of them by name for the generic
- * virtual-dispatch path and for enumeration.
+ * The PolicyRegistry registers each of them by name, and the fetch
+ * stage sees them only through the FetchPolicy interface. They stay
+ * visible in a header so tests and plugins can instantiate one
+ * directly, e.g. to restore a builtin after replacing its name.
  */
 
 #ifndef SMT_POLICY_FETCH_POLICIES_HH
@@ -86,7 +84,7 @@ class IQPosnPolicy final : public FetchPolicy
     const char *name() const override { return "IQPOSN"; }
 
     void
-    beginCycle(const PipelineState &st) override
+    beginCycle(const PipelineState &st) const override
     {
         posInt_.resize(st.numThreads);
         posFp_.resize(st.numThreads);
@@ -107,8 +105,9 @@ class IQPosnPolicy final : public FetchPolicy
     }
 
   private:
-    std::vector<std::size_t> posInt_;
-    std::vector<std::size_t> posFp_;
+    // This cycle's oldest-entry position per thread, per queue.
+    mutable std::vector<std::size_t> posInt_;
+    mutable std::vector<std::size_t> posFp_;
 };
 
 /**

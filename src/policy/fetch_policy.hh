@@ -7,8 +7,9 @@
  * priorityKey() (lower key = higher priority; round-robin order breaks
  * ties) and fetches from the best `fetchThreads` of them. The paper's
  * policies — RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN — are implemented
- * here and registered by name in the PolicyRegistry; new policies only
- * need a subclass and a registry entry, never a core change.
+ * in fetch_policies.hh and registered by name in the PolicyRegistry;
+ * new policies only need a subclass and a registry entry, never a core
+ * change.
  */
 
 #ifndef SMT_POLICY_FETCH_POLICY_HH
@@ -39,10 +40,11 @@ class FetchPolicy
 
     /**
      * Called once per cycle before any priorityKey() query; policies
-     * that rank against whole-machine structures (IQPOSN) precompute
-     * here instead of rescanning per candidate thread.
+     * that rank against whole-machine structures (IQPOSN) snapshot
+     * them here instead of rescanning per candidate thread. The
+     * snapshot is a cache of `st`, not policy state, hence const.
      */
-    virtual void beginCycle(const PipelineState &) {}
+    virtual void beginCycle(const PipelineState &) const {}
 
     /** Priority of `tid` this cycle; lower is fetched first. */
     virtual double priorityKey(const PipelineState &st,

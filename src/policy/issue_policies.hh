@@ -2,11 +2,10 @@
  * @file
  * The concrete issue policies of Section 6.
  *
- * Header-visible (like fetch_policies.hh) so the specialized core
- * engines can instantiate the issue stage over a concrete `final`
- * policy type: order() then resolves statically and its comparison
- * lambda inlines into the sort. The PolicyRegistry registers each by
- * name for the generic virtual-dispatch path.
+ * The PolicyRegistry registers each by name, and the issue stage sees
+ * them only through the IssuePolicy interface. Header-visible, like
+ * fetch_policies.hh, so tests and plugins can instantiate one
+ * directly.
  */
 
 #ifndef SMT_POLICY_ISSUE_POLICIES_HH

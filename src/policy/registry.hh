@@ -4,29 +4,21 @@
  * policies.
  *
  * The registry decouples policy selection from the core: SmtConfig
- * carries a policy *name* (or the legacy enum, whose toString() is the
- * name), the core resolves it to a strategy object exactly once at
- * construction, and the per-cycle hot paths call virtual methods on the
- * resolved object — no per-candidate switch dispatch.
+ * carries a policy *name*, the core resolves it to a strategy object
+ * exactly once at construction, and the per-cycle hot paths call
+ * virtual methods on the resolved object — no per-candidate switch
+ * dispatch.
  *
  * Registering a new policy:
  *
  *   PolicyRegistry::instance().registerFetchPolicy("MYPOLICY", [] {
  *       return std::make_unique<MyPolicy>();
  *   });
- *   cfg.fetchPolicyName = "MYPOLICY";
+ *   cfg.fetchPolicy = "MYPOLICY";
  *
  * The paper's policies are pre-registered by the registerBuiltin*
- * hooks the first time instance() is called.
- *
- * The registry also carries the *core engine dispatch table*: for
- * (fetch, issue) name pairs it knows, it hands SmtCore a factory for a
- * devirtualized CoreEngine instantiated over the concrete policy
- * classes (see core/engine.hh). Re-registering either policy name
- * drops the pair's specialized entry — a plugin that replaces a
- * builtin policy's behaviour must not keep running the builtin's
- * specialized code — and those configs fall back to the generic
- * virtual-dispatch engine.
+ * hooks the first time instance() is called. Re-registering a name
+ * replaces its factory: cores built afterwards run the new policy.
  */
 
 #ifndef SMT_POLICY_REGISTRY_HH
@@ -41,20 +33,11 @@
 #include "policy/fetch_policy.hh"
 #include "policy/issue_policy.hh"
 
-namespace smt
-{
-
-struct SmtConfig;
-struct PipelineState;
-class CoreEngine;
-
-namespace policy
+namespace smt::policy
 {
 
 using FetchPolicyFactory = std::function<std::unique_ptr<FetchPolicy>()>;
 using IssuePolicyFactory = std::function<std::unique_ptr<IssuePolicy>()>;
-using CoreEngineFactory =
-    std::function<std::unique_ptr<CoreEngine>(PipelineState &)>;
 
 /** Process-wide policy name registry (builtins pre-installed). */
 class PolicyRegistry
@@ -76,46 +59,16 @@ class PolicyRegistry
         const std::string &name) const;
 
     /** Registered names, in registration order. */
-    std::vector<std::string> fetchPolicyNames() const;
-    std::vector<std::string> issuePolicyNames() const;
-
-    /**
-     * Register a specialized core engine for a (fetch, issue) policy
-     * name pair. Later registrations of either *policy* name evict the
-     * entry (the specialization would no longer match the policy's
-     * behaviour).
-     */
-    void registerCoreEngine(std::string fetchName, std::string issueName,
-                            CoreEngineFactory make);
-
-    /** The specialized-engine factory for a pair, or nullptr. */
-    const CoreEngineFactory *findCoreEngine(
-        const std::string &fetchName, const std::string &issueName) const;
-
-    /** Registered (fetch, issue) pairs with specialized engines. */
-    std::vector<std::pair<std::string, std::string>>
-    coreEngineNames() const;
+    std::vector<std::string> listFetchPolicies() const;
+    std::vector<std::string> listIssuePolicies() const;
 
   private:
     PolicyRegistry();
 
-    struct EngineEntry
-    {
-        std::string fetchName;
-        std::string issueName;
-        CoreEngineFactory make;
-    };
-
     std::vector<std::pair<std::string, FetchPolicyFactory>> fetch_;
     std::vector<std::pair<std::string, IssuePolicyFactory>> issue_;
-    std::vector<EngineEntry> engines_;
 };
 
-/** Resolve the policies a config names (enum or override string). */
-std::unique_ptr<FetchPolicy> makeFetchPolicy(const SmtConfig &cfg);
-std::unique_ptr<IssuePolicy> makeIssuePolicy(const SmtConfig &cfg);
-
-} // namespace policy
-} // namespace smt
+} // namespace smt::policy
 
 #endif // SMT_POLICY_REGISTRY_HH

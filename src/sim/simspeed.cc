@@ -56,14 +56,14 @@ measureShape(const ShapeSpec &spec, const Options &opts)
     ShapeResult r;
     r.name = spec.name;
     r.threads = spec.cfg.numThreads;
-    r.fetchPolicy = spec.cfg.resolvedFetchPolicyName();
-    r.issuePolicy = spec.cfg.resolvedIssuePolicyName();
+    r.fetchPolicy = spec.cfg.fetchPolicy;
+    r.issuePolicy = spec.cfg.issuePolicy;
 
     // Best-of-N on fresh machines: each repeat re-runs the identical
     // deterministic simulation, so the fastest wall-clock is the least
     // noise-disturbed measurement of the same work.
     for (unsigned rep = 0; rep < std::max(1u, opts.repeats); ++rep) {
-        Simulator sim(spec.cfg, spec.mix, /*seed_salt=*/0, opts.dispatch);
+        Simulator sim(spec.cfg, spec.mix);
         sim.warmup(opts.warmupCycles);
         const auto t0 = std::chrono::steady_clock::now();
         sim.run(opts.measureCycles);
@@ -74,7 +74,6 @@ measureShape(const ShapeSpec &spec, const Options &opts)
             r.instructions = sim.stats().committedInstructions;
             r.ipc = sim.stats().ipc();
         }
-        r.engine = sim.core().engineKind();
     }
     r.cyclesPerSec =
         r.seconds > 0.0 ? static_cast<double>(r.cycles) / r.seconds : 0.0;
@@ -87,8 +86,7 @@ measureShape(const ShapeSpec &spec, const Options &opts)
         double best = 0.0;
         std::uint64_t cycles = 0;
         for (unsigned rep = 0; rep < std::max(1u, opts.repeats); ++rep) {
-            Simulator sim(spec.cfg, spec.mix, /*seed_salt=*/0,
-                          opts.dispatch);
+            Simulator sim(spec.cfg, spec.mix);
             obs::PipeTrace pipe(sink, obs::PipeTraceOptions{});
             sim.attachPipeTrace(&pipe);
             sim.warmup(opts.warmupCycles);
@@ -108,7 +106,7 @@ measureShape(const ShapeSpec &spec, const Options &opts)
     if (opts.stageBreakdown) {
         // A separate instrumented pass: the two clock reads per stage
         // would distort the throughput number above.
-        Simulator sim(spec.cfg, spec.mix, /*seed_salt=*/0, opts.dispatch);
+        Simulator sim(spec.cfg, spec.mix);
         sim.warmup(opts.warmupCycles);
         StageTimes times;
         for (std::uint64_t c = 0; c < opts.measureCycles; ++c)
@@ -178,7 +176,6 @@ toJson(const std::vector<ShapeResult> &results, const Options &opts)
               sweep::Json(static_cast<std::uint64_t>(r.threads)));
         s.set("fetch_policy", sweep::Json(r.fetchPolicy));
         s.set("issue_policy", sweep::Json(r.issuePolicy));
-        s.set("engine", sweep::Json(r.engine));
         s.set("cycles", sweep::Json(r.cycles));
         s.set("instructions", sweep::Json(r.instructions));
         s.set("ipc", sweep::Json(r.ipc));
@@ -208,9 +205,8 @@ formatTable(const std::vector<ShapeResult> &results)
 {
     std::string out;
     char line[256];
-    std::snprintf(line, sizeof(line), "%-20s %7s %-12s %11s %7s %s\n",
-                  "shape", "threads", "engine", "cyc/sec", "IPC",
-                  "hottest stage");
+    std::snprintf(line, sizeof(line), "%-20s %7s %11s %7s %s\n",
+                  "shape", "threads", "cyc/sec", "IPC", "hottest stage");
     out += line;
     for (const ShapeResult &r : results) {
         unsigned hot = 0;
@@ -220,9 +216,8 @@ formatTable(const std::vector<ShapeResult> &results)
         const std::uint64_t total =
             StageTimes{r.stageNs}.totalNs();
         std::snprintf(line, sizeof(line),
-                      "%-20s %7u %-12s %11.0f %7.3f %s (%.0f%%)\n",
-                      r.name.c_str(), r.threads, r.engine.c_str(),
-                      r.cyclesPerSec, r.ipc,
+                      "%-20s %7u %11.0f %7.3f %s (%.0f%%)\n",
+                      r.name.c_str(), r.threads, r.cyclesPerSec, r.ipc,
                       StageTimes::stageName(hot),
                       total > 0 ? 100.0 * static_cast<double>(
                                               r.stageNs[hot]) /

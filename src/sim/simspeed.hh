@@ -4,22 +4,23 @@
  * wall-clock second?
  *
  * This is a meta-benchmark of the implementation, not a result of the
- * paper: it exists so hot-path changes (policy devirtualization, the
- * SoA pipeline scans) are measured, and so CI can refuse a silent
- * slowdown. Its front end is `smtsweep --bench-simspeed`, which emits
+ * paper: it exists so hot-path changes (the SoA pipeline scans, the
+ * stage walk) are measured, and so CI can refuse a silent slowdown.
+ * Its front end is `smtsweep --bench-simspeed`, which emits
  * BENCH_simspeed.json ("smt-simspeed-v1"):
  *
  *   {
  *     "schema": "smt-simspeed-v1",
  *     "host": { "cpu": ..., "hardware_threads": ... },
  *     "options": { warmup/measure cycle counts, repeats },
- *     "shapes": [ { "name", "threads", policies, "engine",
- *                   "cycles_per_sec", "ipc", "stage_ns": {...} }, ... ]
+ *     "shapes": [ { "name", "threads", policies, "cycles_per_sec",
+ *                   "ipc", "stage_ns": {...} }, ... ]
  *   }
  *
  * scripts/check-simspeed.sh compares `cycles_per_sec` per shape against
- * a committed baseline (skipping on host mismatch — wall-clock numbers
- * do not transfer between machines).
+ * a baseline document: the committed one (skipping on host mismatch —
+ * wall-clock numbers do not transfer between machines), or in CI a
+ * run of the merge base on the same runner.
  */
 
 #ifndef SMT_SIM_SIMSPEED_HH
@@ -53,7 +54,6 @@ struct Options
     std::uint64_t measureCycles = 20000;
     unsigned repeats = 3; ///< best-of-N wall-clock (noise rejection).
     bool stageBreakdown = true;
-    CoreDispatch dispatch = CoreDispatch::Auto;
 
     /** A/B the pipeline microscope (`--pipe-ab`): also measure each
      *  shape with a full-window `obs::PipeTrace` streaming to
@@ -70,7 +70,6 @@ struct ShapeResult
     unsigned threads = 0;
     std::string fetchPolicy;
     std::string issuePolicy;
-    std::string engine; ///< "specialized" or "generic".
 
     std::uint64_t cycles = 0;       ///< simulated cycles measured.
     std::uint64_t instructions = 0; ///< committed in the window.

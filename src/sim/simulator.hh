@@ -32,13 +32,9 @@ class Simulator
      * @param mix benchmark per context; size must equal cfg.numThreads.
      * @param seed_salt combined with cfg.seed so distinct runs of a data
      *        point see distinct program/oracle randomness.
-     * @param dispatch engine choice for the core; ForceGeneric pins the
-     *        virtual-dispatch engine (A/B tests and benchmarks — the
-     *        two are cycle-identical).
      */
     Simulator(const SmtConfig &cfg, const std::vector<Benchmark> &mix,
-              std::uint64_t seed_salt = 0,
-              CoreDispatch dispatch = CoreDispatch::Auto);
+              std::uint64_t seed_salt = 0);
 
     // The core holds references into this object: not copyable or
     // movable (construct in place; guaranteed elision covers factory

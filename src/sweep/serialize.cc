@@ -191,11 +191,8 @@ toJson(const SmtConfig &cfg)
     j.set("renameWidth", Json(cfg.renameWidth));
     j.set("commitWidth", Json(cfg.commitWidth));
 
-    // The resolved registry names, so selecting a policy through the
-    // enum and through a name override digest identically (they build
-    // the same machine).
-    j.set("fetchPolicy", Json(cfg.resolvedFetchPolicyName()));
-    j.set("issuePolicy", Json(cfg.resolvedIssuePolicyName()));
+    j.set("fetchPolicy", Json(cfg.fetchPolicy));
+    j.set("issuePolicy", Json(cfg.issuePolicy));
     j.set("speculation", Json(toString(cfg.speculation)));
     j.set("itagEarlyLookup", Json(cfg.itagEarlyLookup));
 

@@ -46,11 +46,11 @@ knobTable()
         {"commitWidth", uintKnob(&SmtConfig::commitWidth)},
         {"fetchPolicy",
          [](SmtConfig &cfg, const Json &v) {
-             cfg.fetchPolicyName = v.asString();
+             cfg.fetchPolicy = v.asString();
          }},
         {"issuePolicy",
          [](SmtConfig &cfg, const Json &v) {
-             cfg.issuePolicyName = v.asString();
+             cfg.issuePolicy = v.asString();
          }},
         {"speculation",
          [](SmtConfig &cfg, const Json &v) {

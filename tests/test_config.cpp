@@ -69,7 +69,7 @@ TEST(Config, FetchSchemeName)
 {
     SmtConfig cfg;
     EXPECT_EQ(cfg.fetchSchemeName(), "RR.1.8");
-    cfg.fetchPolicy = FetchPolicy::ICount;
+    cfg.fetchPolicy = "ICOUNT";
     presets::setFetchPartition(cfg, 2, 8);
     EXPECT_EQ(cfg.fetchSchemeName(), "ICOUNT.2.8");
 }
@@ -78,7 +78,8 @@ TEST(Config, PresetBaseSmt)
 {
     const SmtConfig cfg = presets::baseSmt(8);
     EXPECT_EQ(cfg.numThreads, 8u);
-    EXPECT_EQ(cfg.fetchPolicy, FetchPolicy::RoundRobin);
+    EXPECT_EQ(cfg.fetchPolicy, "RR");
+    EXPECT_EQ(cfg.issuePolicy, "OLDEST_FIRST");
     EXPECT_EQ(cfg.fetchThreads, 1u);
     EXPECT_EQ(cfg.fetchPerThread, 8u);
     EXPECT_TRUE(cfg.longRegisterPipeline);
@@ -96,7 +97,7 @@ TEST(Config, PresetUnmodifiedSuperscalar)
 TEST(Config, PresetICount28)
 {
     const SmtConfig cfg = presets::icount28(4);
-    EXPECT_EQ(cfg.fetchPolicy, FetchPolicy::ICount);
+    EXPECT_EQ(cfg.fetchPolicy, "ICOUNT");
     EXPECT_EQ(cfg.fetchThreads, 2u);
     EXPECT_EQ(cfg.fetchPerThread, 8u);
     cfg.validate();
@@ -141,17 +142,16 @@ TEST(ConfigDeath, RejectsMoreLoadStoreThanIntUnits)
                 "loadStoreUnits");
 }
 
-TEST(Config, PolicyNames)
+TEST(ConfigDeath, RejectsUnregisteredPolicyNames)
 {
-    EXPECT_STREQ(toString(FetchPolicy::RoundRobin), "RR");
-    EXPECT_STREQ(toString(FetchPolicy::BrCount), "BRCOUNT");
-    EXPECT_STREQ(toString(FetchPolicy::MissCount), "MISSCOUNT");
-    EXPECT_STREQ(toString(FetchPolicy::ICount), "ICOUNT");
-    EXPECT_STREQ(toString(FetchPolicy::IQPosn), "IQPOSN");
-    EXPECT_STREQ(toString(IssuePolicy::OldestFirst), "OLDEST_FIRST");
-    EXPECT_STREQ(toString(IssuePolicy::OptLast), "OPT_LAST");
-    EXPECT_STREQ(toString(IssuePolicy::SpecLast), "SPEC_LAST");
-    EXPECT_STREQ(toString(IssuePolicy::BranchFirst), "BRANCH_FIRST");
+    SmtConfig cfg;
+    cfg.fetchPolicy = "icount"; // names are case-sensitive.
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "unregistered fetch policy \"icount\"");
+    cfg = SmtConfig{};
+    cfg.issuePolicy = "NEWEST_FIRST";
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "unregistered issue policy");
 }
 
 } // namespace

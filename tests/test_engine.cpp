@@ -1,19 +1,19 @@
 /**
  * @file
- * Core-engine dispatch tests: the specialized (devirtualized-policy)
- * engines must be cycle-identical to the generic virtual-dispatch
- * engine for every registered policy pair, the registry dispatch table
- * must fall back to generic when a policy name is re-registered
- * (plugin safety), the fetch candidate insertion sort must match
- * std::sort's strict-total-order result, and the steady-state hot path
- * must not allocate (instruction pool and oracle ring audits).
+ * Core binding and hot-path tests: a core runs whatever policy its
+ * config's name is registered as when the core is built (a plugin that
+ * replaces a builtin name gets its own behaviour, and restoring the
+ * builtin restores the golden statistics), the fetch candidate
+ * insertion sort must match std::sort's strict-total-order result, and
+ * the steady-state hot path must not allocate (instruction pool and
+ * oracle ring audits).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "core/stages/fetch.hh"
@@ -27,125 +27,75 @@ namespace smt
 namespace
 {
 
-// ---- Specialized vs generic: cycle identity --------------------------------
+// ---- Policy binding: a re-registered name binds the new policy --------------
 
-struct PolicyPair
+/** ICOUNT inverted: the thread with the most instructions in
+ *  decode/rename/IQ fetches first. */
+class MostInstructionsFirstPolicy final : public policy::FetchPolicy
 {
-    const char *fetch;
-    const char *issue;
-};
+  public:
+    const char *name() const override { return "MOST_ICOUNT"; }
 
-/** Every (fetch, issue) pair the paper registers an engine for. */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
-
-/** The stat fields a single divergent cycle anywhere would disturb. */
-struct StatKey
-{
-    std::uint64_t cycles, committed, fetched, fetchedWrongPath, issued,
-        issuedWrongPath, optimisticSquashes, mispredicts, dcacheMisses;
-
-    static StatKey
-    of(const SimStats &s)
+    double
+    priorityKey(const PipelineState &st, ThreadID tid) const override
     {
-        return {s.cycles,
-                s.committedInstructions,
-                s.fetchedInstructions,
-                s.fetchedWrongPath,
-                s.issuedInstructions,
-                s.issuedWrongPath,
-                s.optimisticSquashes,
-                s.condBranchMispredicts,
-                s.dcache.misses};
-    }
-
-    bool
-    operator==(const StatKey &o) const
-    {
-        return cycles == o.cycles && committed == o.committed &&
-               fetched == o.fetched &&
-               fetchedWrongPath == o.fetchedWrongPath &&
-               issued == o.issued &&
-               issuedWrongPath == o.issuedWrongPath &&
-               optimisticSquashes == o.optimisticSquashes &&
-               mispredicts == o.mispredicts &&
-               dcacheMisses == o.dcacheMisses;
+        return -static_cast<double>(st.frontAndQueueCount[tid]);
     }
 };
 
-TEST(EngineMatrix, SpecializedIsCycleIdenticalToGenericForAllPairs)
+/** ICOUNT.2.8 at 4 threads after 20000 cycles, as
+ *  GoldenStats.Icount28MatchesPreRefactorCore pins it. */
+void
+expectIcount28Golden(const SimStats &s)
 {
-    for (const PolicyPair &pair : kRegisteredPairs) {
-        SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicyName = pair.fetch;
-        cfg.issuePolicyName = pair.issue;
-
-        Simulator spec(cfg, mixForRun(4, 0), 0, CoreDispatch::Auto);
-        Simulator gen(cfg, mixForRun(4, 0), 0,
-                      CoreDispatch::ForceGeneric);
-
-        EXPECT_STREQ(spec.core().engineKind(), "specialized")
-            << pair.fetch << "." << pair.issue;
-        EXPECT_STREQ(gen.core().engineKind(), "generic")
-            << pair.fetch << "." << pair.issue;
-
-        spec.run(6000);
-        gen.run(6000);
-        EXPECT_TRUE(StatKey::of(spec.stats()) == StatKey::of(gen.stats()))
-            << "stats diverged for " << pair.fetch << "." << pair.issue;
-        spec.core().validateInvariants();
-        gen.core().validateInvariants();
-    }
+    EXPECT_EQ(s.committedInstructions, 33173u);
+    EXPECT_EQ(s.fetchedInstructions, 35951u);
+    EXPECT_EQ(s.issuedInstructions, 39341u);
+    EXPECT_EQ(s.condBranchMispredicts, 88u);
+    EXPECT_EQ(s.dcache.misses, 1261u);
+    EXPECT_EQ(s.optimisticSquashes, 2467u);
 }
 
-TEST(EngineMatrix, RegistryListsEveryRegisteredPair)
-{
-    const auto names =
-        policy::PolicyRegistry::instance().coreEngineNames();
-    for (const PolicyPair &pair : kRegisteredPairs) {
-        const bool found =
-            std::any_of(names.begin(), names.end(), [&](const auto &e) {
-                return e.first == pair.fetch && e.second == pair.issue;
-            });
-        EXPECT_TRUE(found) << pair.fetch << "." << pair.issue;
-        EXPECT_NE(policy::PolicyRegistry::instance().findCoreEngine(
-                      pair.fetch, pair.issue),
-                  nullptr);
-    }
-}
-
-// ---- Plugin safety: re-registration evicts the specialization ---------------
-
-TEST(EngineDispatch, ReRegisteringAPolicyNameFallsBackToGeneric)
+TEST(PolicyBinding, ReRegisteredNameRunsTheNewPolicy)
 {
     auto &reg = policy::PolicyRegistry::instance();
+    const SmtConfig cfg = presets::icount28(4);
+    const auto make_most = [] {
+        return std::make_unique<MostInstructionsFirstPolicy>();
+    };
 
-    // A "plugin" replaces ICOUNT's behaviour. Keeping the specialized
-    // engines would silently run the builtin's baked-in code instead.
+    // A plugin redefines "ICOUNT": a core built afterwards runs the new
+    // ranking, exactly as it runs under a name of its own.
+    reg.registerFetchPolicy("ICOUNT", make_most);
+    Simulator replaced(cfg, mixForRun(4, 0));
+    EXPECT_STREQ(replaced.core().fetchPolicy().name(), "MOST_ICOUNT");
+    replaced.run(20000);
+
+    reg.registerFetchPolicy("MOST_ICOUNT", make_most);
+    SmtConfig own_name = cfg;
+    own_name.fetchPolicy = "MOST_ICOUNT";
+    Simulator reference(own_name, mixForRun(4, 0));
+    reference.run(20000);
+
+    const SimStats &r = replaced.stats();
+    const SimStats &ref = reference.stats();
+    EXPECT_EQ(r.committedInstructions, ref.committedInstructions);
+    EXPECT_EQ(r.fetchedInstructions, ref.fetchedInstructions);
+    EXPECT_EQ(r.issuedInstructions, ref.issuedInstructions);
+    EXPECT_EQ(r.condBranchMispredicts, ref.condBranchMispredicts);
+    EXPECT_EQ(r.dcache.misses, ref.dcache.misses);
+    EXPECT_EQ(r.optimisticSquashes, ref.optimisticSquashes);
+    EXPECT_NE(r.committedInstructions, 33173u)
+        << "the replacement ran like the builtin ICOUNT";
+
+    // Restoring the builtin restores the golden machine.
     reg.registerFetchPolicy("ICOUNT", [] {
         return std::make_unique<policy::ICountPolicy>();
     });
-    EXPECT_EQ(reg.findCoreEngine("ICOUNT", "OLDEST_FIRST"), nullptr);
-    EXPECT_NE(reg.findCoreEngine("RR", "OLDEST_FIRST"), nullptr);
-
-    SmtConfig cfg = presets::icount28(2);
-    Simulator sim(cfg, mixForRun(2, 0));
-    EXPECT_STREQ(sim.core().engineKind(), "generic");
-
-    // Restore the builtin dispatch table for the rest of the process.
-    registerBuiltinCoreEngines(reg);
-    EXPECT_NE(reg.findCoreEngine("ICOUNT", "OLDEST_FIRST"), nullptr);
-    Simulator again(cfg, mixForRun(2, 0));
-    EXPECT_STREQ(again.core().engineKind(), "specialized");
+    Simulator restored(cfg, mixForRun(4, 0));
+    EXPECT_STREQ(restored.core().fetchPolicy().name(), "ICOUNT");
+    restored.run(20000);
+    expectIcount28Golden(restored.stats());
 }
 
 // ---- Fetch candidate ordering ----------------------------------------------

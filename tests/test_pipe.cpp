@@ -1,8 +1,8 @@
 /**
  * @file
  * Pipeline-microscope tests: attaching a pipetrace must never disturb
- * the simulation (cycle identity across every registered policy pair
- * under both engines), every traced instruction must close (commit or
+ * the simulation (cycle identity across every paper policy pair),
+ * every traced instruction must close (commit or
  * squash — the `smtpipe --check` gate, green on a real file and red on
  * a truncated one), the admission window and sample period must bound
  * what is emitted, the Chrome export's lanes must never overlap, and
@@ -39,7 +39,7 @@ struct PolicyPair
     const char *issue;
 };
 
-/** Every (fetch, issue) pair the paper registers an engine for. */
+/** Every (fetch, issue) pair the paper's experiments run. */
 constexpr PolicyPair kRegisteredPairs[] = {
     {"RR", "OLDEST_FIRST"},
     {"BRCOUNT", "OLDEST_FIRST"},
@@ -95,13 +95,11 @@ tempPath(const char *name)
 /** Run one traced simulation into `path` and return its stats. */
 SimStats
 tracedRun(const SmtConfig &cfg, const std::string &path,
-          const obs::PipeTraceOptions &opts,
-          CoreDispatch dispatch = CoreDispatch::Auto,
-          std::uint64_t cycles = 4000)
+          const obs::PipeTraceOptions &opts, std::uint64_t cycles = 4000)
 {
     obs::PipeTraceSink sink(path);
     obs::PipeTrace pipe(sink, opts);
-    Simulator sim(cfg, mixForRun(cfg.numThreads, 0), 0, dispatch);
+    Simulator sim(cfg, mixForRun(cfg.numThreads, 0));
     sim.attachPipeTrace(&pipe);
     sim.run(cycles);
     pipe.finish();
@@ -119,7 +117,7 @@ analyzeFile(const std::string &path)
 
 // ---- Cycle identity: tracing must be a pure observer ----------------------
 
-TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
+TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairs)
 {
     const std::string path = tempPath("identity");
     obs::PipeTraceOptions topts;
@@ -129,23 +127,15 @@ TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
 
     for (const PolicyPair &pair : kRegisteredPairs) {
         SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicyName = pair.fetch;
-        cfg.issuePolicyName = pair.issue;
+        cfg.fetchPolicy = pair.fetch;
+        cfg.issuePolicy = pair.issue;
 
-        for (CoreDispatch dispatch :
-             {CoreDispatch::Auto, CoreDispatch::ForceGeneric}) {
-            Simulator plain(cfg, mixForRun(4, 0), 0, dispatch);
-            plain.run(4000);
+        Simulator plain(cfg, mixForRun(4, 0));
+        plain.run(4000);
 
-            const SimStats traced =
-                tracedRun(cfg, path, topts, dispatch);
-            EXPECT_TRUE(StatKey::of(plain.stats()) == StatKey::of(traced))
-                << "pipetrace disturbed " << pair.fetch << "."
-                << pair.issue << " ("
-                << (dispatch == CoreDispatch::Auto ? "specialized"
-                                                   : "generic")
-                << ")";
-        }
+        const SimStats traced = tracedRun(cfg, path, topts);
+        EXPECT_TRUE(StatKey::of(plain.stats()) == StatKey::of(traced))
+            << "pipetrace disturbed " << pair.fetch << "." << pair.issue;
     }
     std::remove(path.c_str());
 }
@@ -253,8 +243,7 @@ TEST(PipeWindow, SamplePeriodZeroEmitsNoSamples)
     obs::PipeTraceOptions topts;
     topts.windowFirst = 0;
     topts.windowLast = 500;
-    tracedRun(presets::baseSmt(2), path, topts, CoreDispatch::Auto,
-              1500);
+    tracedRun(presets::baseSmt(2), path, topts, 1500);
     const obs::PipeAnalysis analysis = analyzeFile(path);
     ASSERT_EQ(analysis.streams.size(), 1u);
     EXPECT_TRUE(analysis.streams[0].samples.empty());

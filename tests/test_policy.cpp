@@ -3,7 +3,7 @@
  * Unit tests for the policy layer: the priority ordering each fetch
  * policy produces on a hand-built PipelineState, the candidate ordering
  * of each issue policy, registry resolution (including custom policy
- * registration through SmtConfig name overrides), and golden-stats
+ * registration selected by SmtConfig's policy names), and golden-stats
  * regressions: the refactored core against the pre-refactor cycle
  * behaviour on the RR and ICOUNT.2.8 machines, and every paper policy
  * pair against its recorded statistics and stall ledger.
@@ -85,23 +85,18 @@ TEST(PolicyRegistry, BuiltinsRegistered)
     EXPECT_FALSE(reg.hasFetchPolicy("NO_SUCH_POLICY"));
 }
 
-TEST(PolicyRegistry, EnumNamesResolveToMatchingPolicies)
+TEST(PolicyRegistry, ConfigNamesResolveToMatchingPolicies)
 {
-    SmtConfig cfg = presets::icount28(4);
-    EXPECT_EQ(cfg.resolvedFetchPolicyName(), "ICOUNT");
-    EXPECT_EQ(cfg.resolvedIssuePolicyName(), "OLDEST_FIRST");
-    EXPECT_STREQ(policy::makeFetchPolicy(cfg)->name(), "ICOUNT");
-    EXPECT_STREQ(policy::makeIssuePolicy(cfg)->name(), "OLDEST_FIRST");
-}
+    SmtConfig cfg = presets::icount28(2);
+    cfg.issuePolicy = "SPEC_LAST";
+    Simulator sim(cfg, mixForRun(2, 0));
+    EXPECT_STREQ(sim.core().fetchPolicy().name(), "ICOUNT");
+    EXPECT_STREQ(sim.core().issuePolicy().name(), "SPEC_LAST");
 
-TEST(PolicyRegistry, NameOverrideBeatsEnum)
-{
-    SmtConfig cfg = presets::baseSmt(2);
-    cfg.fetchPolicy = FetchPolicy::RoundRobin;
-    cfg.fetchPolicyName = "ICOUNT+MISSCOUNT";
-    EXPECT_STREQ(policy::makeFetchPolicy(cfg)->name(),
-                 "ICOUNT+MISSCOUNT");
-    EXPECT_EQ(cfg.fetchSchemeName(), "ICOUNT+MISSCOUNT.1.8");
+    cfg.fetchPolicy = "ICOUNT+MISSCOUNT";
+    EXPECT_EQ(cfg.fetchSchemeName(), "ICOUNT+MISSCOUNT.2.8");
+    Simulator hybrid(cfg, mixForRun(2, 0));
+    EXPECT_STREQ(hybrid.core().fetchPolicy().name(), "ICOUNT+MISSCOUNT");
 }
 
 TEST(PolicyRegistry, CustomPolicyRunsASimulation)
@@ -123,7 +118,7 @@ TEST(PolicyRegistry, CustomPolicyRunsASimulation)
         "HIGHEST_TID", [] { return std::make_unique<HighestTidPolicy>(); });
 
     SmtConfig cfg = presets::baseSmt(2);
-    cfg.fetchPolicyName = "HIGHEST_TID";
+    cfg.fetchPolicy = "HIGHEST_TID";
     Simulator sim(cfg, mixForRun(2, 0));
     sim.run(3000);
     EXPECT_GT(sim.stats().committedInstructions, 500u);

@@ -2,7 +2,9 @@
  * @file
  * Property-based sweeps: invariants that must hold for *every* machine
  * configuration and workload, checked across the paper's whole
- * configuration space with parameterized gtest.
+ * configuration space with parameterized gtest. The policy axes iterate
+ * the PolicyRegistry's names, so every registered builtin (the
+ * ICOUNT+MISSCOUNT hybrid included) is covered.
  *
  * Invariants:
  *  - determinism: identical (config, mix, seed) -> identical statistics;
@@ -16,8 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
 #include <tuple>
 
+#include "policy/registry.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -27,12 +32,13 @@ namespace
 {
 
 /** (threads, fetch policy, fetch partitioning index, issue policy). */
-using ConfigPoint = std::tuple<unsigned, FetchPolicy, unsigned, IssuePolicy>;
+using ConfigPoint =
+    std::tuple<unsigned, std::string, unsigned, std::string>;
 
 SmtConfig
 makeConfig(const ConfigPoint &point)
 {
-    const auto [threads, fetch_policy, partition, issue_policy] = point;
+    const auto &[threads, fetch_policy, partition, issue_policy] = point;
     SmtConfig cfg = presets::baseSmt(threads);
     cfg.fetchPolicy = fetch_policy;
     cfg.issuePolicy = issue_policy;
@@ -45,15 +51,28 @@ makeConfig(const ConfigPoint &point)
     return cfg;
 }
 
+/** A policy name as a gtest parameter name ([A-Za-z0-9_] only). */
+std::string
+paramSafe(std::string name)
+{
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
+}
+
 std::string
 pointName(const ::testing::TestParamInfo<ConfigPoint> &info)
 {
-    const auto [threads, fp, part, ip] = info.param;
-    std::string s = std::to_string(threads) + "T_";
-    s += toString(fp);
-    s += "_p" + std::to_string(part) + "_";
-    s += toString(ip);
-    return s;
+    const auto &[threads, fp, part, ip] = info.param;
+    return std::to_string(threads) + "T_" + paramSafe(fp) + "_p" +
+           std::to_string(part) + "_" + paramSafe(ip);
+}
+
+const policy::PolicyRegistry &
+registry()
+{
+    return policy::PolicyRegistry::instance();
 }
 
 class ConfigSweep : public ::testing::TestWithParam<ConfigPoint>
@@ -97,24 +116,17 @@ TEST_P(ConfigSweep, Deterministic)
 INSTANTIATE_TEST_SUITE_P(
     FetchPolicySpace, ConfigSweep,
     ::testing::Combine(::testing::Values(1u, 3u, 8u),
-                       ::testing::Values(FetchPolicy::RoundRobin,
-                                         FetchPolicy::BrCount,
-                                         FetchPolicy::MissCount,
-                                         FetchPolicy::ICount,
-                                         FetchPolicy::IQPosn),
+                       ::testing::ValuesIn(registry().listFetchPolicies()),
                        ::testing::Values(0u, 2u),
-                       ::testing::Values(IssuePolicy::OldestFirst)),
+                       ::testing::Values(std::string("OLDEST_FIRST"))),
     pointName);
 
 INSTANTIATE_TEST_SUITE_P(
     IssuePolicySpace, ConfigSweep,
     ::testing::Combine(::testing::Values(2u, 6u),
-                       ::testing::Values(FetchPolicy::ICount),
+                       ::testing::Values(std::string("ICOUNT")),
                        ::testing::Values(1u, 3u),
-                       ::testing::Values(IssuePolicy::OldestFirst,
-                                         IssuePolicy::OptLast,
-                                         IssuePolicy::SpecLast,
-                                         IssuePolicy::BranchFirst)),
+                       ::testing::ValuesIn(registry().listIssuePolicies())),
     pointName);
 
 // ---- Structural knob sweeps ------------------------------------------------

@@ -170,18 +170,6 @@ TEST(Digest, IdenticalKeysDigestIdentically)
     EXPECT_EQ(measurementDigest(a, opts), measurementDigest(b, opts));
 }
 
-TEST(Digest, EnumAndNameSelectionDigestIdentically)
-{
-    // Both spell the same machine, so they must share a cache slot.
-    const MeasureOptions opts = tinyOptions();
-    SmtConfig by_enum = presets::baseSmt(4);
-    by_enum.fetchPolicy = FetchPolicy::ICount;
-    SmtConfig by_name = presets::baseSmt(4);
-    by_name.fetchPolicyName = "ICOUNT";
-    EXPECT_EQ(measurementDigest(by_enum, opts),
-              measurementDigest(by_name, opts));
-}
-
 TEST(Digest, AnyKnobChangeChangesTheDigest)
 {
     const MeasureOptions opts = tinyOptions();
@@ -206,10 +194,10 @@ TEST(Digest, AnyKnobChangeChangesTheDigest)
     }
     {
         SmtConfig cfg = base;
-        cfg.fetchPolicyName = "ICOUNT";
+        cfg.fetchPolicy = "ICOUNT";
         variants.push_back(cfg);
         cfg = base;
-        cfg.issuePolicyName = "OPT_LAST";
+        cfg.issuePolicy = "OPT_LAST";
         variants.push_back(cfg);
         cfg = base;
         cfg.l2.sizeBytes *= 2;
@@ -424,7 +412,7 @@ TEST(Spec, Fig5GridExpandsToTheFullCartesianProduct)
     EXPECT_EQ(p.config.numThreads, 4u);
     EXPECT_EQ(p.config.fetchThreads, 2u);
     EXPECT_EQ(p.config.fetchPerThread, 8u);
-    EXPECT_EQ(p.config.resolvedFetchPolicyName(), "ICOUNT");
+    EXPECT_EQ(p.config.fetchPolicy, "ICOUNT");
     EXPECT_EQ(p.config.fetchSchemeName(), "ICOUNT.2.8");
     EXPECT_EQ(p.options.cyclesPerRun, tinyOptions().cyclesPerRun);
     p.config.validate();

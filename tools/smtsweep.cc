@@ -55,9 +55,6 @@ usage(int code)
         "                      default machine shapes; writes the\n"
         "                      smt-simspeed-v1 JSON to --json (default\n"
         "                      BENCH_simspeed.json)\n"
-        "  --force-generic     with --bench-simspeed: pin the\n"
-        "                      virtual-dispatch core engine (A/B\n"
-        "                      against the specialized engines)\n"
         "  --experiment NAME   experiment to run (repeatable)\n"
         "  --list              list every experiment and exit\n"
         "  --describe NAME     print an experiment's grid as JSON\n"
@@ -170,7 +167,6 @@ main(int argc, char **argv)
     unsigned shard_count = 0;
     bool list = false;
     bool bench_simspeed = false;
-    bool force_generic = false;
     bool stall_report = false;
     bool pipe_ab = false;
     std::string trace_out;
@@ -282,8 +278,6 @@ main(int argc, char **argv)
             list = true;
         else if (std::strcmp(arg, "--bench-simspeed") == 0)
             bench_simspeed = true;
-        else if (std::strcmp(arg, "--force-generic") == 0)
-            force_generic = true;
         else if (std::strcmp(arg, "--describe") == 0)
             describe.push_back(next_arg(i));
         else if (std::strcmp(arg, "--help") == 0
@@ -348,8 +342,6 @@ main(int argc, char **argv)
         sopts.warmupCycles = ropts.measure.warmupCycles;
         sopts.measureCycles = ropts.measure.cyclesPerRun;
         sopts.repeats = ropts.measure.runs;
-        if (force_generic)
-            sopts.dispatch = smt::CoreDispatch::ForceGeneric;
         sopts.pipeAb = pipe_ab;
         const auto results =
             smt::simspeed::measureAll(smt::simspeed::defaultShapes(),
