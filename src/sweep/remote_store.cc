@@ -91,10 +91,13 @@ RemoteResultStore::serverSupportsLz() const
         exchange("GET", "/v1/ping");
     if (!resp.has_value() || !resp->ok())
         return false; // unreachable: stay unknown, probe again later.
+    // A list of anything but strings, or no list at all, advertises
+    // nothing: identity transfers work with every peer.
     bool lz = false;
     Json doc;
     if (Json::parse(resp->body, doc)
-        && doc.type() == Json::Type::Object && doc.has("encodings")) {
+        && doc.type() == Json::Type::Object && doc.has("encodings")
+        && doc.at("encodings").type() == Json::Type::Array) {
         const Json &encodings = doc.at("encodings");
         for (std::size_t i = 0; i < encodings.size(); ++i) {
             if (encodings[i].type() == Json::Type::String
@@ -305,7 +308,8 @@ RemoteResultStore::storedDigests() const
         return digests;
     Json doc;
     if (!Json::parse(resp->body, doc)
-        || doc.type() != Json::Type::Object || !doc.has("digests"))
+        || doc.type() != Json::Type::Object || !doc.has("digests")
+        || doc.at("digests").type() != Json::Type::Array)
         return digests;
     const Json &list = doc.at("digests");
     for (std::size_t i = 0; i < list.size(); ++i) {

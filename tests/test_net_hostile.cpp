@@ -5,8 +5,10 @@
  * arbitrary split points, pipelining, torn bodies, slow-loris drip),
  * the parser's golden corpora (tests/http_corpus.hh) in both
  * directions at every chunking, smtstore's rejection of malformed
- * numeric flags, and a concurrency soak whose client-side ledger must
- * balance the server's /v1/stats counters exactly.
+ * numeric flags, store clients facing a peer whose capability and
+ * listing documents carry the wrong JSON types, and a concurrency soak
+ * whose client-side ledger must balance the server's /v1/stats
+ * counters exactly.
  *
  * The split from test_net.cpp is deliberate: that file pins the wire
  * protocol's *happy* behavior (and must pass unchanged across server
@@ -36,6 +38,8 @@
 #include "obs/metrics.hh"
 #include "sweep/digest.hh"
 #include "sweep/json.hh"
+#include "sweep/remote_store.hh"
+#include "sweep/serialize.hh"
 #include "sweep/store_service.hh"
 
 namespace smt
@@ -539,6 +543,77 @@ TEST(SmtstoreCli, IdleTimeoutOutsideTheClockRangeExitsTwo)
                                + value),
                   2)
             << value;
+}
+
+// ---- Type-confused peers: clients degrade instead of aborting ---------------
+
+/** A peer's /v1/ping and /v1/entries documents, each well-formed JSON
+ *  with a field of the wrong type. */
+struct ConfusedPeer
+{
+    const char *ping;
+    const char *listing;
+};
+
+constexpr ConfusedPeer kConfusedPeers[] = {
+    {R"({"encodings": "x-smt-lz", "stats": "yes"})",
+     R"({"digests": {"a": 1}})"},
+    {R"({"encodings": {"x-smt-lz": 1}, "stats": 1})", R"({"digests": 5})"},
+    {R"({"encodings": ["x-smt-lz-v0", 7], "stats": null})",
+     R"({"digests": [5, null]})"},
+};
+
+TEST(ConfusedPeer, StoreClientsAndPingDegradeInsteadOfAborting)
+{
+    for (const ConfusedPeer &peer : kConfusedPeers) {
+        // A real store behind a stub that answers the two documents
+        // itself and notes whether any entry was sent compressed.
+        TempDir dir("confused");
+        sweep::StoreService service(dir.path());
+        std::atomic<bool> compressed_put{false};
+        net::HttpServer server;
+        std::string error;
+        ASSERT_TRUE(server.start(
+            "127.0.0.1", 0,
+            [&](const net::HttpRequest &req) {
+                net::HttpResponse resp;
+                if (req.method == "GET" && req.target == "/v1/ping") {
+                    resp.body = peer.ping;
+                    return resp;
+                }
+                if (req.method == "GET" && req.target == "/v1/entries") {
+                    resp.body = peer.listing;
+                    return resp;
+                }
+                if (req.method == "PUT"
+                    && !req.headers.get("Content-Encoding").empty())
+                    compressed_put = true;
+                return service.handle(req);
+            },
+            &error))
+            << error;
+        const std::string url =
+            "http://127.0.0.1:" + std::to_string(server.port());
+        net::Url parsed;
+        ASSERT_TRUE(net::parseUrl(url, parsed));
+        sweep::RemoteResultStore client(parsed);
+
+        SimStats stats;
+        stats.cycles = 4000;
+        stats.committedInstructions = 6543;
+        stats.fetchedInstructions = 7001;
+        const SmtConfig cfg = presets::baseSmt(1);
+        const MeasureOptions opts;
+        const std::string digest = sweep::measurementDigest(cfg, opts);
+        client.store(digest, cfg, opts, stats);
+        EXPECT_FALSE(compressed_put) << peer.ping;
+        const std::optional<SimStats> hit = client.lookup(digest);
+        ASSERT_TRUE(hit.has_value()) << peer.ping;
+        EXPECT_EQ(sweep::toJson(*hit).dump(), sweep::toJson(stats).dump());
+
+        EXPECT_TRUE(client.storedDigests().empty()) << peer.listing;
+        EXPECT_EQ(smtstoreExit("--ping " + url), 0) << peer.ping;
+    }
 }
 
 #endif // SMTSTORE_BINARY

@@ -225,31 +225,39 @@ main(int argc, char **argv)
         }
         // Advertised capabilities, so an operator (or CI log reader)
         // sees at a glance what this server speaks. Fields print
-        // whatever scalar the server sent (schema is numeric).
-        const auto scalar = [&](const char *key) -> std::string {
-            if (!doc->has(key))
-                return "?";
-            const sweep::Json &v = doc->at(key);
-            return v.type() == sweep::Json::Type::String ? v.asString()
-                                                         : v.dump();
+        // whatever scalar the server sent (schema is numeric); a list
+        // or flag of the wrong type prints as "?".
+        using sweep::Json;
+        const auto text = [](const Json &v) -> std::string {
+            return v.type() == Json::Type::String ? v.asString() : v.dump();
         };
-        std::string encodings;
+        const auto scalar = [&](const char *key) -> std::string {
+            return doc->has(key) ? text(doc->at(key)) : "?";
+        };
+        std::string encodings = "identity";
         if (doc->has("encodings")) {
-            const sweep::Json &list = doc->at("encodings");
-            for (std::size_t i = 0; i < list.size(); ++i) {
-                if (!encodings.empty())
-                    encodings += ",";
-                encodings += list[i].asString();
+            const Json &list = doc->at("encodings");
+            if (list.type() != Json::Type::Array) {
+                encodings = "?";
+            } else if (list.size() > 0) {
+                encodings = text(list[0]);
+                for (std::size_t i = 1; i < list.size(); ++i)
+                    encodings += "," + text(list[i]);
             }
+        }
+        std::string stats = "no";
+        if (doc->has("stats")) {
+            const Json &flag = doc->at("stats");
+            if (flag.type() != Json::Type::Bool)
+                stats = "?";
+            else if (flag.asBool())
+                stats = "yes";
         }
         std::printf("smtstore at %s is alive (schema %s, auth %s, "
                     "encodings %s, stats %s)\n",
                     ping_url.c_str(), scalar("schema").c_str(),
-                    scalar("auth").c_str(),
-                    encodings.empty() ? "identity" : encodings.c_str(),
-                    doc->has("stats") && doc->at("stats").asBool()
-                        ? "yes"
-                        : "no");
+                    scalar("auth").c_str(), encodings.c_str(),
+                    stats.c_str());
         return 0;
     }
 
