@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
-# check-simspeed.sh CURRENT.json [BASELINE.json] — the simspeed
-# regression gate CI runs.
+# check-simspeed.sh CURRENT.json[,...] [BASELINE.json[,...]] — the
+# simspeed regression gate CI runs.
 #
 # Compares per-shape tick throughput (cycles_per_sec) in CURRENT
-# against the committed baseline (default:
-# bench/BENCH_simspeed.baseline.json). A shape regresses when
+# against a baseline (default: the committed
+# bench/BENCH_simspeed.baseline.json). Either side may list several
+# runs, comma-separated; each side then counts its best run per shape,
+# so a same-runner A/B (CI builds the merge base and the change and
+# alternates their runs) compares like with like. A shape regresses
+# when
 #
 #   current/baseline < SIMSPEED_MIN_RATIO   (default 0.9, i.e. a
 #                                            >10% throughput loss)
 #
 # Exits 1 if any shape regresses. Skips cleanly (exit 0) when:
 #  - the baseline file does not exist (fresh branch, no baseline yet);
-#  - the two files were measured on different hosts (the fingerprint
+#  - the two sides were measured on different hosts (the fingerprint
 #    field differs) — absolute throughput is not comparable across
 #    machines. Set SIMSPEED_IGNORE_HOST=1 to compare anyway.
 #
-# Shapes present in only one of the two files are reported but never
+# Shapes present in only one of the two sides are reported but never
 # fail the gate, so adding or retiring a machine shape does not
 # require regenerating the baseline in the same commit.
 set -u
@@ -26,41 +30,67 @@ baseline="${2:-$repo/bench/BENCH_simspeed.baseline.json}"
 min_ratio="${SIMSPEED_MIN_RATIO:-0.9}"
 
 if [ -z "$current" ]; then
-    echo "usage: check-simspeed.sh CURRENT.json [BASELINE.json]" >&2
+    echo "usage: check-simspeed.sh CURRENT.json[,...] [BASELINE.json[,...]]" >&2
     exit 2
 fi
-if [ ! -f "$current" ]; then
-    echo "check-simspeed: current results not found: $current" >&2
-    exit 2
-fi
-if [ ! -f "$baseline" ]; then
-    echo "check-simspeed: no baseline at ${baseline#"$repo"/}; skipping."
-    exit 0
-fi
+IFS=, read -r -a current_runs <<<"$current"
+IFS=, read -r -a baseline_runs <<<"$baseline"
+for f in "${current_runs[@]}"; do
+    if [ ! -f "$f" ]; then
+        echo "check-simspeed: current results not found: $f" >&2
+        exit 2
+    fi
+done
+for f in "${baseline_runs[@]}"; do
+    if [ ! -f "$f" ]; then
+        echo "check-simspeed: no baseline at ${f#"$repo"/}; skipping."
+        exit 0
+    fi
+done
 
 python3 - "$current" "$baseline" "$min_ratio" <<'PY'
 import json
 import os
 import sys
 
-cur_path, base_path, min_ratio = sys.argv[1], sys.argv[2], float(sys.argv[3])
-cur = json.load(open(cur_path))
-base = json.load(open(base_path))
+cur_arg, base_arg, min_ratio = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-for doc, path in ((cur, cur_path), (base, base_path)):
-    if doc.get("schema") != "smt-simspeed-v1":
-        sys.exit(f"check-simspeed: {path}: unexpected schema "
-                 f"{doc.get('schema')!r} (want smt-simspeed-v1)")
 
-cur_host = cur.get("host", {}).get("fingerprint")
-base_host = base.get("host", {}).get("fingerprint")
-if cur_host != base_host and not os.environ.get("SIMSPEED_IGNORE_HOST"):
-    print(f"check-simspeed: host differs from baseline; skipping.\n"
-          f"  current:  {cur_host}\n  baseline: {base_host}")
+def load(arg):
+    """Every run a side lists, schema-checked."""
+    docs = []
+    for path in arg.split(","):
+        doc = json.load(open(path))
+        if doc.get("schema") != "smt-simspeed-v1":
+            sys.exit(f"check-simspeed: {path}: unexpected schema "
+                     f"{doc.get('schema')!r} (want smt-simspeed-v1)")
+        docs.append(doc)
+    return docs
+
+
+def best(docs):
+    """Each shape's best run on one side."""
+    shapes = {}
+    for doc in docs:
+        for s in doc.get("shapes", []):
+            prev = shapes.get(s["name"])
+            if prev is None or s["cycles_per_sec"] > prev["cycles_per_sec"]:
+                shapes[s["name"]] = s
+    return shapes
+
+
+cur = load(cur_arg)
+base = load(base_arg)
+
+hosts = {d.get("host", {}).get("fingerprint") for d in cur + base}
+if len(hosts) > 1 and not os.environ.get("SIMSPEED_IGNORE_HOST"):
+    print("check-simspeed: host differs from baseline; skipping.")
+    for h in sorted(map(str, hosts)):
+        print(f"  {h}")
     sys.exit(0)
 
-cur_shapes = {s["name"]: s for s in cur.get("shapes", [])}
-base_shapes = {s["name"]: s for s in base.get("shapes", [])}
+cur_shapes = best(cur)
+base_shapes = best(base)
 
 failed = []
 print(f"{'shape':<20} {'baseline':>12} {'current':>12} {'ratio':>7}")
