@@ -7,19 +7,44 @@
  * Usage: quickstart [threads] [cycles]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
+#include "sim/mix_runner.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
+
+namespace
+{
+
+/** `text` as a whole number in [min, max]; anything else exits 2 with
+ *  the usage line before a machine is built. */
+std::uint64_t
+countArg(const char *text, std::uint64_t min, std::uint64_t max)
+{
+    const std::optional<std::uint64_t> n = smt::parseWholeNumber(text);
+    if (!n || *n < min || *n > max) {
+        std::fprintf(stderr,
+                     "usage: quickstart [threads 1-%u] [cycles >= 1]\n",
+                     smt::kMaxThreads);
+        std::exit(2);
+    }
+    return *n;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const unsigned threads =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
+        argc > 1 ? static_cast<unsigned>(
+                       countArg(argv[1], 1, smt::kMaxThreads))
+                 : 4;
     const std::uint64_t cycles =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50000;
+        argc > 2 ? countArg(argv[2], 1, UINT64_MAX) : 50000;
 
     // The improved architecture of Section 7: ICOUNT.2.8 fetch on the
     // base hardware sizes.

@@ -8,7 +8,10 @@
 #     tool's --help output — the help text is the canonical flag
 #     list, and the docs must not drift from it;
 #  4. with a BUILD_DIR: every `--experiment NAME` the docs cite appears
-#     in `smtsweep --list`, the canonical experiment list.
+#     in `smtsweep --list`, the canonical experiment list;
+#  5. every SMTSIM_*, SMTSWEEP_* or SMTSTORE_* environment variable the
+#     docs name is read somewhere: it appears as a quoted string literal
+#     in src/ or tools/.
 set -u
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -103,6 +106,18 @@ if [ -n "$build" ]; then
                  | awk '{print $2}' | sort -u)
     done
 fi
+
+# 5. Environment variables named in the docs are read by some code.
+for f in "${docs[@]}"; do
+    while IFS= read -r name; do
+        if ! grep -rqF -- "\"$name\"" "$repo/src" "$repo/tools"; then
+            echo "environment variable named in ${f#"$repo"/} is read" \
+                 "nowhere in src/ or tools/: $name"
+            fail=1
+        fi
+    done < <(grep -ohE '\b(SMTSIM|SMTSWEEP|SMTSTORE)_[A-Z0-9_]+' "$f" \
+             | sort -u)
+done
 
 if [ "$fail" = 0 ]; then
     echo "docs check: OK (${#docs[@]} files)"

@@ -170,8 +170,7 @@ workerShardArgs(const DistOptions &opts, const std::string &experiment,
         remote_store ? "--store-url" : "--cache-dir", locator,
         "--jobs", std::to_string(jobs),
         // Forward the measurement knobs explicitly so every worker
-        // expands and plans the identical grid whatever its
-        // environment says.
+        // expands and plans the identical grid the coordinator does.
         "--cycles", std::to_string(opts.ropts.measure.cyclesPerRun),
         "--warmup", std::to_string(opts.ropts.measure.warmupCycles),
         "--runs", std::to_string(opts.ropts.measure.runs),

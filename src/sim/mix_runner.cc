@@ -1,9 +1,7 @@
 #include "sim/mix_runner.hh"
 
 #include <charconv>
-#include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <vector>
@@ -53,31 +51,6 @@ measure(const SmtConfig &cfg, const MeasureOptions &opts)
     for (auto &f : futures)
         point.stats.add(pool.wait(std::move(f)));
     return point;
-}
-
-MeasureOptions
-defaultMeasureOptions()
-{
-    MeasureOptions opts;
-    // An unusable value warns and keeps the default.
-    const auto env = [](const char *name, std::uint64_t fallback,
-                        std::uint64_t min, std::uint64_t max) {
-        const char *text = std::getenv(name);
-        if (text == nullptr)
-            return fallback;
-        const std::optional<std::uint64_t> n = parseWholeNumber(text);
-        if (n && *n >= min && *n <= max)
-            return *n;
-        smt_warn("ignoring %s=%s", name, text);
-        return fallback;
-    };
-    opts.cyclesPerRun = env("SMTSIM_CYCLES", opts.cyclesPerRun, 1, UINT64_MAX);
-    opts.warmupCycles = env("SMTSIM_WARMUP", opts.warmupCycles, 0, UINT64_MAX);
-    opts.runs =
-        static_cast<unsigned>(env("SMTSIM_RUNS", opts.runs, 1, UINT_MAX));
-    if (std::getenv("SMTSIM_SERIAL") != nullptr)
-        opts.parallel = false;
-    return opts;
 }
 
 std::optional<std::uint64_t>

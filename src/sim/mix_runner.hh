@@ -61,14 +61,9 @@ SimStats measureRun(const SmtConfig &cfg, unsigned run,
                     const MeasureOptions &opts,
                     obs::PipeTrace *pipe = nullptr);
 
-/** Options honouring the SMTSIM_CYCLES / SMTSIM_WARMUP / SMTSIM_RUNS /
- *  SMTSIM_SERIAL environment overrides. An unusable value (not a whole
- *  number, or zero cycles or runs) warns and keeps the default. */
-MeasureOptions defaultMeasureOptions();
-
 /** `text` as a whole decimal number: digits only (no sign, space or
  *  trailing bytes) and within 64 bits; nullopt otherwise. The one
- *  parser for budget and count flags and their environment twins. */
+ *  parser for budget and count flags. */
 std::optional<std::uint64_t> parseWholeNumber(const char *text);
 
 /** The longest duration any seconds flag accepts: 1e9 s, about 31

@@ -125,7 +125,7 @@ SimStats::stallReport(unsigned numThreads) const
                                   s.renameNoRegisters[t] +
                                   s.issueOperandWait[t] + s.issueFuBusy[t];
         grand += row;
-        os << std::left << std::setw(7) << ("T" + std::to_string(t));
+        os << 'T' << std::left << std::setw(6) << t;
         for (std::uint64_t v :
              {s.fetchIcacheMiss[t], s.fetchFrontEndFull[t],
               s.fetchNoTarget[t], s.fetchLostSelection[t],

@@ -22,7 +22,6 @@ RunnerOptions
 defaultRunnerOptions()
 {
     RunnerOptions ropts;
-    ropts.measure = defaultMeasureOptions();
     if (const char *env = std::getenv("SMTSWEEP_CACHE"); env != nullptr)
         ropts.cacheDir = env;
     return ropts;

@@ -84,8 +84,9 @@ struct RunnerOptions
     obs::PipeTraceOptions pipeOptions;
 };
 
-/** Runner options honouring the SMTSIM_* measurement environment and
- *  the SMTSWEEP_CACHE cache-directory override (unset: no cache). */
+/** Runner options at the MeasureOptions defaults, caching to the
+ *  SMTSWEEP_CACHE directory (unset: no cache). A tool's budget flags
+ *  override the measurement fields. */
 RunnerOptions defaultRunnerOptions();
 
 /** One measured (or cache-replayed) grid point. */

@@ -80,7 +80,7 @@ struct ExperimentSpec
     std::vector<Axis> axes;
 
     /** Per-experiment measurement overrides (unset fields inherit the
-     *  runner's options, i.e. the SMTSIM_* environment). */
+     *  runner's options, i.e. the tool's budget flags). */
     std::optional<std::uint64_t> cyclesPerRun;
     std::optional<std::uint64_t> warmupCycles;
     std::optional<unsigned> runs;

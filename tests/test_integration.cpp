@@ -8,6 +8,9 @@
  * registered grids and holds every ordering claim that passes here.
  */
 
+#include <sys/wait.h>
+
+#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -224,6 +227,17 @@ TEST(Integration, GatedPaperOrderingsHold)
         }
     }
     EXPECT_EQ(checked, gated.size()); // every gated id is registered.
+}
+
+TEST(QuickstartCli, MalformedArgumentsExitTwoBeforeAnyMachineIsBuilt)
+{
+    for (const char *args : {"abc", "0", "9", "-1", "4x", "2 abc"}) {
+        const std::string command = std::string(QUICKSTART_BINARY) + " "
+                                    + args + " > /dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    }
 }
 
 } // namespace

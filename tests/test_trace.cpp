@@ -100,7 +100,7 @@ TEST(TraceSet, SkipsTornMalformedAndForeignLinesWithoutAborting)
     // Windows line endings don't leak into parsed fields.
     obs::TraceSet crlf;
     std::string line = span("stored", kTrace, kD1, 100.0, 5.0);
-    line.insert(line.size() - 1, "\r");
+    line.insert(line.size() - 1, 1, '\r');
     crlf.addText(line);
     ASSERT_EQ(crlf.events.size(), 1u);
     EXPECT_EQ(crlf.events[0].event, "stored");

@@ -242,7 +242,7 @@ main(int argc, char **argv)
             } else if (list.size() > 0) {
                 encodings = text(list[0]);
                 for (std::size_t i = 1; i < list.size(); ++i)
-                    encodings += "," + text(list[i]);
+                    encodings.append(",").append(text(list[i]));
             }
         }
         std::string stats = "no";

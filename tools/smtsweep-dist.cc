@@ -21,6 +21,10 @@
  * workers adopt the dead shard's digests through the store claim CAS,
  * and the coordinator measures whatever nobody adopted before the
  * merge. A shard is never relaunched.
+ *
+ * The budget is MeasureOptions' default unless --cycles / --warmup /
+ * --runs / --serial override it; the coordinator passes it to every
+ * worker as those same flags.
  */
 
 #include <unistd.h>

@@ -14,8 +14,9 @@
  *       second) over the default machine shapes and write the
  *       "smt-simspeed-v1" artifact scripts/check-simspeed.sh gates on.
  *
- * Measurement knobs come from the SMTSIM_CYCLES / SMTSIM_WARMUP /
- * SMTSIM_RUNS / SMTSIM_SERIAL environment unless overridden by flags.
+ * A measurement budget is MeasureOptions' default (40000 measured and
+ * 30000 warm-up cycles, 8 runs), overridden by --cycles / --warmup /
+ * --runs / --serial and then by an experiment's own spec fields.
  */
 
 #include <climits>
