@@ -4,9 +4,9 @@
 # Verifies, over README.md, ARCHITECTURE.md and docs/*.md:
 #  1. every relative markdown link resolves to a file in the repo;
 #  2. every tool the docs name (any `smt...` word) exists in tools/;
-#  3. with a BUILD_DIR: every `--flag` the docs cite appears in some
-#     tool's --help output — the help text is the canonical flag
-#     list, and the docs must not drift from it;
+#  3. with a BUILD_DIR: every `--flag` the docs cite appears in the
+#     --help output of some tool built from tools/*.cc — the help text
+#     is the canonical flag list, and the docs must not drift from it;
 #  4. with a BUILD_DIR: every `--experiment NAME` the docs cite appears
 #     in `smtsweep --list`, the canonical experiment list;
 #  5. every SMTSIM_*, SMTSWEEP_* or SMTSTORE_* environment variable the
@@ -68,12 +68,18 @@ if [ -n "$build" ]; then
         echo "no tools in build dir $build"
         exit 2
     fi
-    help_all="$("$build/smtsweep" --help
-        "$build/smtsweep-dist" --help
-        "$build/smtstore" --help
-        "$build/smttrace" --help
-        "$build/smtpipe" --help
-        "$build/smtload" --help)"
+    # Every tool's help, one per tools/*.cc, so a tool added or
+    # deleted there cannot leave this list behind.
+    help_all=""
+    for src in "$repo"/tools/*.cc; do
+        tool="$(basename "$src" .cc)"
+        if [ ! -x "$build/$tool" ]; then
+            echo "tool $tool is not built in $build"
+            fail=1
+            continue
+        fi
+        help_all+="$("$build/$tool" --help)"$'\n'
+    done
     for f in "${docs[@]}"; do
         while IFS= read -r flag; do
             skip=0

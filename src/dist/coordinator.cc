@@ -338,7 +338,7 @@ runDistributed(const sweep::NamedExperiment &experiment,
             + store_suffix;
         if (opts.showProgress) {
             if (live_tty) {
-                std::fprintf(stderr, "\r[smtsweep-dist] %-70s",
+                std::fprintf(stderr, "\r[smtsweep] %-70s",
                              line.c_str());
                 std::fflush(stderr);
             } else {
@@ -349,7 +349,7 @@ runDistributed(const sweep::NamedExperiment &experiment,
                     + std::to_string(summary.shardsFinished) + "/"
                     + std::to_string(summary.stolen);
                 if (key != last_logged) {
-                    std::fprintf(stderr, "[smtsweep-dist] %s\n",
+                    std::fprintf(stderr, "[smtsweep] %s\n",
                                  line.c_str());
                     last_logged = std::move(key);
                 }

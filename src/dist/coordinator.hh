@@ -62,8 +62,9 @@ struct DistOptions
     /** Pool workers per worker process; 0 = cores / shards. */
     unsigned jobsPerWorker = 0;
 
-    /** Worker binary (default: `smtsweep` beside this executable).
-     *  With --hosts this is the path on the *remote* hosts. */
+    /** Worker binary (`smtsweep --shards` passes its own executable
+     *  unless --smtsweep names another). With --hosts this is the
+     *  path on the *remote* hosts. */
     std::string smtsweepPath;
 
     /** Remote host list ("hostA,hostB"); empty = local processes. */

@@ -181,7 +181,7 @@ WorkerLauncher::launch(unsigned shard, const std::vector<std::string> &argv)
             ::close(in_fds[0]);
         }
         ::execvpe(cargv[0], cargv.data(), cenv.data());
-        std::fprintf(stderr, "smtsweep-dist: cannot exec %s\n", cargv[0]);
+        std::fprintf(stderr, "smtsweep: cannot exec %s\n", cargv[0]);
         ::_exit(127);
     }
     ::close(out_fds[1]);

@@ -12,7 +12,7 @@
  * shipping assignments around; a worker re-plans from the cost hints
  * the coordinator pinned in the store manifest (`observedCosts`), so
  * it gets the coordinator's plan. The manifest's per-point `shard` is
- * a record for `smtsweep-dist --status`, never read back as a plan.
+ * a record for `smtsweep --status`, never read back as a plan.
  *
  * Planning is greedy LPT (longest processing time first): unique
  * digests sorted by descending cost — the observed wall time recorded

@@ -1,6 +1,6 @@
 #include "net/http_client.hh"
 
-#include <cstdlib>
+#include "sim/mix_runner.hh"
 
 namespace smt::net
 {
@@ -30,14 +30,11 @@ parseUrl(const std::string &text, Url &out)
 
     const std::size_t colon = authority.rfind(':');
     if (colon != std::string::npos) {
-        const std::string port_text = authority.substr(colon + 1);
-        char *end = nullptr;
-        const unsigned long port =
-            std::strtoul(port_text.c_str(), &end, 10);
-        if (end == port_text.c_str() || *end != '\0' || port == 0
-            || port > 65535)
+        const std::optional<std::uint64_t> port =
+            parseWholeNumber(authority.substr(colon + 1).c_str());
+        if (!port || *port == 0 || *port > 65535)
             return false;
-        url.port = static_cast<std::uint16_t>(port);
+        url.port = static_cast<std::uint16_t>(*port);
         authority = authority.substr(0, colon);
     }
     if (authority.empty())

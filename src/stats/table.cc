@@ -22,12 +22,6 @@ Table::addRow(std::vector<std::string> row)
     rows_.push_back(std::move(row));
 }
 
-void
-Table::addSeparator()
-{
-    rows_.emplace_back();
-}
-
 std::string
 Table::render() const
 {
@@ -60,56 +54,8 @@ Table::render() const
             total += width[c] + (c ? 2 : 0);
         os << std::string(total, '-') << '\n';
     }
-    for (const auto &row : rows_) {
-        if (row.empty()) {
-            std::size_t total = 0;
-            for (std::size_t c = 0; c < cols; ++c)
-                total += width[c] + (c ? 2 : 0);
-            os << std::string(total, '-') << '\n';
-        } else {
-            emit(row);
-        }
-    }
-    return os.str();
-}
-
-std::string
-Table::renderCsv() const
-{
-    std::ostringstream os;
-    os << "# " << title_ << '\n';
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_) {
-        if (!row.empty())
-            emit(row);
-    }
-    return os.str();
-}
-
-std::string
-fmtDouble(double v, int precision)
-{
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os << std::setprecision(precision) << v;
-    return os.str();
-}
-
-std::string
-fmtPercent(double fraction, int precision)
-{
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os << std::setprecision(precision) << 100.0 * fraction << '%';
+    for (const auto &row : rows_)
+        emit(row);
     return os.str();
 }
 

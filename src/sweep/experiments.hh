@@ -3,8 +3,9 @@
  * The named experiments: every paper figure, table and Section 7 probe
  * as a declarative ExperimentSpec, paired with the report function that
  * prints its measured tables and with the paper's claims about it.
- * `smtsweep --experiment <name>` (and `smtsweep-dist`) run through this
- * registry; it is the only home of the paper's reference values.
+ * `smtsweep --experiment <name>`, in process or with `--shards N`, runs
+ * through this registry; it is the only home of the paper's reference
+ * values.
  *
  * A PaperClaim is one result the paper reports: a statement, the
  * paper's value, a band, and an extractor that reads the reproduction's

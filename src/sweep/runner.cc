@@ -18,15 +18,6 @@
 namespace smt::sweep
 {
 
-RunnerOptions
-defaultRunnerOptions()
-{
-    RunnerOptions ropts;
-    if (const char *env = std::getenv("SMTSWEEP_CACHE"); env != nullptr)
-        ropts.cacheDir = env;
-    return ropts;
-}
-
 const PointResult *
 SweepOutcome::find(const std::string &label, unsigned threads) const
 {

@@ -57,7 +57,7 @@ struct RunnerOptions
     bool verbose = false;
 
     /** Worker threads for the shared pool (the --jobs flag); 0 keeps
-     *  the pool's own default (SMTSIM_POOL_WORKERS or the hardware). */
+     *  the pool's own default, the hardware concurrency. */
     unsigned jobs = 0;
 
     /** Invoked after each point settles (cache hit or measured). */
@@ -83,11 +83,6 @@ struct RunnerOptions
     obs::PipeTraceSink *pipeSink = nullptr;
     obs::PipeTraceOptions pipeOptions;
 };
-
-/** Runner options at the MeasureOptions defaults, caching to the
- *  SMTSWEEP_CACHE directory (unset: no cache). A tool's budget flags
- *  override the measurement fields. */
-RunnerOptions defaultRunnerOptions();
 
 /** One measured (or cache-replayed) grid point. */
 struct PointResult

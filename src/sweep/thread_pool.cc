@@ -1,7 +1,5 @@
 #include "sweep/thread_pool.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace smt::sweep
@@ -17,14 +15,6 @@ bool g_global_created = false;
 unsigned
 defaultWorkerCount()
 {
-    if (const char *env = std::getenv("SMTSIM_POOL_WORKERS");
-        env != nullptr) {
-        const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr,
-                                                              10));
-        if (n >= 1)
-            return n;
-        smt_warn("ignoring SMTSIM_POOL_WORKERS=%s", env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 2;
 }

@@ -44,16 +44,16 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * The shared process-wide pool. Sized to hardware concurrency, or
-     * the SMTSIM_POOL_WORKERS environment override.
+     * The shared process-wide pool. Sized to hardware concurrency
+     * unless requestGlobalWorkers() asked for another count first.
      */
     static ThreadPool &global();
 
     /**
      * Request the worker count global() is built with (the --jobs
-     * flag; beats the environment). Takes effect only before the
-     * first global() use — a disagreeing later request is ignored
-     * with a warning, because a live pool cannot be resized.
+     * flag). Takes effect only before the first global() use — a
+     * disagreeing later request is ignored with a warning, because a
+     * live pool cannot be resized.
      */
     static void requestGlobalWorkers(unsigned workers);
 

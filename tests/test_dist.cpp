@@ -1180,6 +1180,25 @@ coordinateSmokeSweep(bool over_ssh)
     }
 }
 
+/** The exit status of `program args` (-1 when a signal ended it);
+ *  stdout goes to `out`, stderr nowhere. */
+int
+exitStatus(const std::string &program, const std::string &args,
+           const std::string &out = "/dev/null")
+{
+    const std::string command =
+        program + " " + args + " > " + out + " 2> /dev/null";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** The built smtsweep's exit status for `args`. */
+int
+smtsweepExit(const std::string &args, const std::string &out = "/dev/null")
+{
+    return exitStatus(SMTSWEEP_BINARY, args, out);
+}
+
 TEST(SmtsweepCli, MalformedCountsExitTwoBeforeAnyPointRuns)
 {
     for (const char *args :
@@ -1187,33 +1206,77 @@ TEST(SmtsweepCli, MalformedCountsExitTwoBeforeAnyPointRuns)
           "--warmup xyz", "--runs 1x", "--runs 0", "--jobs 2x",
           "--pipe-sample 3q", "--marker-ttl nan", "--marker-ttl inf",
           "--marker-ttl 5x", "--marker-ttl 0", "--steal-wait nan",
-          "--steal-wait -1"}) {
-        const std::string command = std::string(SMTSWEEP_BINARY)
-                                    + " --experiment fig7 --no-cache "
-                                    + args + " > /dev/null 2>&1";
-        const int status = std::system(command.c_str());
-        ASSERT_TRUE(WIFEXITED(status)) << args;
-        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
-    }
+          "--steal-wait -1"})
+        EXPECT_EQ(smtsweepExit(std::string("--experiment fig7 --no-cache ")
+                               + args),
+                  2)
+            << args;
 }
 
-TEST(SmtsweepDistCli, MalformedSecondsExitTwoBeforeAnyWorkerStarts)
+TEST(SmtsweepCli, MalformedSecondsExitTwoBeforeAnyWorkerStarts)
 {
     // Workers are /bin/false: a value that slipped through would fail
     // the sweep with exit 1, not 2.
     TempDir dir("distcli");
+    const std::string coordinator =
+        "--experiment smoke --shards 2 --smtsweep /bin/false "
+        "--no-progress --cache-dir "
+        + dir.path() + " ";
     for (const char *args :
          {"--marker-ttl nan", "--marker-ttl 1e-7", "--marker-ttl 60s",
-          "--steal-wait inf", "--steal-wait -0.5"}) {
-        const std::string command =
-            std::string(SMTSWEEP_DIST_BINARY)
-            + " --experiment smoke --smtsweep /bin/false --no-progress"
-              " --cache-dir "
-            + dir.path() + " " + args + " > /dev/null 2>&1";
-        const int status = std::system(command.c_str());
-        ASSERT_TRUE(WIFEXITED(status)) << args;
-        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
-    }
+          "--steal-wait inf", "--steal-wait -0.5", "--shards 0",
+          "--shards 2x"})
+        EXPECT_EQ(smtsweepExit(coordinator + args), 2) << args;
+}
+
+TEST(SmtsweepCli, FlagsOfAnotherModeExitTwoBeforeAnyWorkerStarts)
+{
+    TempDir dir("modecli");
+    const std::string store = " --cache-dir " + dir.path() + "/store ";
+    // The worker protocol, cache switches, microscope flags and a
+    // second experiment under --shards. Workers are /bin/false, so a
+    // flag that slipped through exits 1.
+    const std::string coordinator =
+        "--experiment smoke --shards 2 --smtsweep /bin/false "
+        "--no-progress"
+        + store;
+    for (const char *args :
+         {"--shard 0/2", "--steal", "--no-cache", "--require-cached",
+          "--pipe-out /dev/null", "--pipe-window 1:2", "--pipe-sample 5",
+          "--experiment fig7"})
+        EXPECT_EQ(smtsweepExit(coordinator + args), 2) << args;
+    // The launch flags without --shards. A flag that slipped through
+    // runs the smoke grid in process and exits 0.
+    for (const char *args : {"--hosts a,b", "--ssh /bin/false",
+                             "--smtsweep /bin/false", "--no-progress"})
+        EXPECT_EQ(smtsweepExit("--experiment smoke" + store + args), 2)
+            << args;
+}
+
+TEST(SmtsweepCli, ShardsRunThisBinaryAsWorkers)
+{
+    // No --smtsweep: the coordinator's workers are its own executable.
+    // It runs here as a link named `sweeper`, from a directory that
+    // holds no `smtsweep`, so no other binary can stand in for it.
+    TempDir dir("selfworkers");
+    const std::string self = dir.path() + "/sweeper";
+    std::error_code ec;
+    fs::create_hard_link(SMTSWEEP_BINARY, self, ec);
+    if (ec)
+        fs::copy_file(SMTSWEEP_BINARY, self);
+    const std::string store = " --cache-dir " + dir.path() + "/store";
+    ASSERT_EQ(exitStatus("cd " + dir.path() + " && ./sweeper",
+                         "--experiment smoke --shards 2 --no-progress"
+                         " --json dist.json"
+                             + store),
+              0);
+    const std::string audit = dir.path() + "/audit.json";
+    ASSERT_EQ(smtsweepExit("--status --json -" + store, audit), 0);
+    std::ifstream in(audit);
+    const std::string text(std::istreambuf_iterator<char>(in), {});
+    EXPECT_NE(text.find("\"pending\": 0"), std::string::npos) << text;
+    EXPECT_EQ(smtsweepExit("--experiment smoke --require-cached" + store),
+              0);
 }
 
 TEST(Coordinator, LocalWorkersMergeBitIdenticalAndReportBySpans)

@@ -104,6 +104,11 @@ TEST(Net, UrlParsing)
     EXPECT_FALSE(net::parseUrl("http://", url));
     EXPECT_FALSE(net::parseUrl("http://host:0", url));
     EXPECT_FALSE(net::parseUrl("http://host:99999", url));
+    // The port is digits only: no sign, no space, no 64-bit wrap.
+    EXPECT_FALSE(net::parseUrl("http://127.0.0.1:+1", url));
+    EXPECT_FALSE(net::parseUrl("http://127.0.0.1: 1", url));
+    EXPECT_FALSE(
+        net::parseUrl("http://127.0.0.1:-18446744073709551615", url));
     EXPECT_FALSE(net::isHttpUrl("/plain/dir"));
     EXPECT_TRUE(net::isHttpUrl("http://x"));
 }

@@ -4,8 +4,8 @@
  * parser: protocol abuse over live sockets (byte-at-a-time delivery,
  * arbitrary split points, pipelining, torn bodies, slow-loris drip),
  * the parser's golden corpora (tests/http_corpus.hh) in both
- * directions at every chunking, smtstore's rejection of malformed
- * numeric flags, store clients facing a peer whose capability and
+ * directions at every chunking, smtstore's and smtload's rejection of
+ * malformed numeric flags, store clients facing a peer whose capability and
  * listing documents carry the wrong JSON types, and a concurrency soak
  * whose client-side ledger must balance the server's /v1/stats
  * counters exactly.
@@ -617,6 +617,28 @@ TEST(ConfusedPeer, StoreClientsAndPingDegradeInsteadOfAborting)
 }
 
 #endif // SMTSTORE_BINARY
+
+#ifdef SMTLOAD_BINARY
+
+TEST(SmtloadCli, MalformedNumbersExitTwoBeforeAnyLoad)
+{
+    // Nothing listens on port 1: a value that slipped through reaches
+    // the /v1/ping probe and exits 1 there, before any load starts.
+    for (const char *args :
+         {"--min-connections -1", "--min-connections 4097",
+          "--keyspace +5", "--keyspace ' 5'", "--payload-bytes +5",
+          "--mix get=+5", "--connections 4,+4", "--connections ' 4'"}) {
+        const std::string command =
+            std::string("timeout -s KILL 10 " SMTLOAD_BINARY
+                        " --url http://127.0.0.1:1 --connections 1 ")
+            + args + " > /dev/null 2>&1";
+        const int status = std::system(command.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    }
+}
+
+#endif // SMTLOAD_BINARY
 
 // ---- Concurrency soak: the ledger must balance -----------------------------
 

@@ -100,27 +100,5 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("22"), std::string::npos);
 }
 
-TEST(Table, CsvOutput)
-{
-    Table t("demo");
-    t.setHeader({"a", "b"});
-    t.addRow({"1", "2"});
-    t.addSeparator();
-    t.addRow({"3", "4"});
-    const std::string csv = t.renderCsv();
-    EXPECT_NE(csv.find("# demo\n"), std::string::npos);
-    EXPECT_NE(csv.find("a,b\n"), std::string::npos);
-    EXPECT_NE(csv.find("1,2\n"), std::string::npos);
-    EXPECT_NE(csv.find("3,4\n"), std::string::npos);
-}
-
-TEST(Table, Formatters)
-{
-    EXPECT_EQ(fmtDouble(2.456, 2), "2.46");
-    EXPECT_EQ(fmtDouble(2.0, 1), "2.0");
-    EXPECT_EQ(fmtPercent(0.123, 1), "12.3%");
-    EXPECT_EQ(fmtPercent(0.5, 0), "50%");
-}
-
 } // namespace
 } // namespace smt

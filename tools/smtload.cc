@@ -145,21 +145,21 @@ parseMix(const std::string &spec, Mix &mix)
         if (eq == std::string::npos)
             return false;
         const std::string name = item.substr(0, eq);
-        char *end = nullptr;
-        const unsigned long w =
-            std::strtoul(item.c_str() + eq + 1, &end, 10);
-        if (end == item.c_str() + eq + 1 || *end != '\0' || w > 1000)
+        const std::optional<std::uint64_t> w =
+            parseWholeNumber(item.c_str() + eq + 1);
+        if (!w || *w > 1000)
             return false;
+        const unsigned weight = static_cast<unsigned>(*w);
         if (name == "get")
-            parsed.get = static_cast<unsigned>(w);
+            parsed.get = weight;
         else if (name == "put")
-            parsed.put = static_cast<unsigned>(w);
+            parsed.put = weight;
         else if (name == "head")
-            parsed.head = static_cast<unsigned>(w);
+            parsed.head = weight;
         else if (name == "claim")
-            parsed.claim = static_cast<unsigned>(w);
+            parsed.claim = weight;
         else if (name == "marker")
-            parsed.marker = static_cast<unsigned>(w);
+            parsed.marker = weight;
         else
             return false;
         if (comma == std::string::npos)
@@ -172,23 +172,27 @@ parseMix(const std::string &spec, Mix &mix)
     return true;
 }
 
+/** The most connections one level may open. */
+constexpr unsigned kMaxConnections = 4096;
+
 bool
 parseLevels(const std::string &spec, std::vector<unsigned> &levels)
 {
     levels.clear();
     std::size_t pos = 0;
     while (pos < spec.size()) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(spec.c_str() + pos, &end, 10);
-        if (end == spec.c_str() + pos || n == 0 || n > 4096)
+        const std::size_t comma = spec.find(',', pos);
+        const std::optional<std::uint64_t> n = parseWholeNumber(
+            spec.substr(pos, comma == std::string::npos
+                                 ? std::string::npos
+                                 : comma - pos)
+                .c_str());
+        if (!n || *n == 0 || *n > kMaxConnections)
             return false;
-        levels.push_back(static_cast<unsigned>(n));
-        pos = static_cast<std::size_t>(end - spec.c_str());
-        if (pos < spec.size()) {
-            if (spec[pos] != ',')
-                return false;
-            ++pos;
-        }
+        levels.push_back(static_cast<unsigned>(*n));
+        if (comma == std::string::npos)
+            break;
+        pos = comma + 1;
     }
     return !levels.empty();
 }
@@ -409,29 +413,27 @@ main(int argc, char **argv)
         }
         else if (std::strcmp(arg, "--keyspace") == 0) {
             const char *value = next_arg(i);
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || n == 0 || n > 1000000) {
+            const std::optional<std::uint64_t> n = parseWholeNumber(value);
+            if (!n || *n == 0 || *n > 1000000) {
                 std::fprintf(stderr,
                              "smtload: --keyspace needs 1..1000000, "
                              "got \"%s\"\n",
                              value);
                 return usage(2);
             }
-            keyspace = static_cast<unsigned>(n);
+            keyspace = static_cast<unsigned>(*n);
         }
         else if (std::strcmp(arg, "--payload-bytes") == 0) {
             const char *value = next_arg(i);
-            char *end = nullptr;
-            payload_bytes = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0'
-                || payload_bytes > 4 * 1024 * 1024) {
+            const std::optional<std::uint64_t> n = parseWholeNumber(value);
+            if (!n || *n > 4 * 1024 * 1024) {
                 std::fprintf(stderr,
                              "smtload: --payload-bytes needs 0..4MiB, "
                              "got \"%s\"\n",
                              value);
                 return usage(2);
             }
+            payload_bytes = static_cast<unsigned long>(*n);
         }
         else if (std::strcmp(arg, "--mix") == 0)
             mix_spec = next_arg(i);
@@ -443,16 +445,15 @@ main(int argc, char **argv)
             require_zero_errors = true;
         else if (std::strcmp(arg, "--min-connections") == 0) {
             const char *value = next_arg(i);
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0') {
+            const std::optional<std::uint64_t> n = parseWholeNumber(value);
+            if (!n || *n > kMaxConnections) {
                 std::fprintf(stderr,
-                             "smtload: --min-connections needs a "
-                             "count, got \"%s\"\n",
-                             value);
+                             "smtload: --min-connections needs 0..%u, "
+                             "got \"%s\"\n",
+                             kMaxConnections, value);
                 return usage(2);
             }
-            min_connections = static_cast<unsigned>(n);
+            min_connections = static_cast<unsigned>(*n);
         }
         else if (std::strcmp(arg, "--help") == 0
                  || std::strcmp(arg, "-h") == 0)

@@ -1,12 +1,26 @@
 /**
  * @file
- * smtsweep: run any named experiment through the sweep engine.
+ * smtsweep: run any named experiment through the sweep engine, in this
+ * process or sharded across worker processes sharing one result store.
  *
  *   smtsweep --experiment fig5
  *       run Figure 5's grid with on-disk result caching, print its
  *       measured tables, then one verdict per paper claim;
  *   smtsweep --experiment fig5 --require-cached
  *       assert the whole grid replays from cache (CI's second pass);
+ *   smtsweep --experiment smoke --shards 2
+ *       coordinate: partition the grid into two cost-balanced shards,
+ *       run one `smtsweep --shard i/2` worker of this same binary per
+ *       shard into the shared store (live progress + ETA on stderr),
+ *       then merge the store into the report an in-process run
+ *       prints — bit-identical per-point stats;
+ *   smtsweep --experiment fig5 --shards 4 \
+ *       --hosts hostA,hostB --store-url http://hostC:8377
+ *       the same, but workers run over ssh on a host list against a
+ *       store served by `smtstore` — shards span machines;
+ *   smtsweep --status --cache-dir DIR|--store-url URL [--json -]
+ *       audit a store against its manifest (done / in-progress /
+ *       orphaned / pending work), optionally as JSON;
  *   smtsweep --list | --describe NAME
  *       enumerate / inspect experiment grids without running them;
  *   smtsweep --bench-simspeed [--json BENCH_simspeed.json]
@@ -16,8 +30,16 @@
  *
  * A measurement budget is MeasureOptions' default (40000 measured and
  * 30000 warm-up cycles, 8 runs), overridden by --cycles / --warmup /
- * --runs / --serial and then by an experiment's own spec fields.
+ * --runs / --serial and then by an experiment's own spec fields. A
+ * coordinator passes the budget to every worker as those same flags.
+ *
+ * Worker deaths are absorbed by orphan-aware work stealing: idle
+ * workers adopt the dead shard's digests through the store claim CAS,
+ * and the coordinator measures whatever nobody adopted before the
+ * merge. A shard is never relaunched.
  */
+
+#include <unistd.h>
 
 #include <climits>
 #include <cstdint>
@@ -25,14 +47,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "dist/coordinator.hh"
 #include "dist/shard.hh"
 #include "obs/trace.hh"
 #include "sim/simspeed.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
+#include "sweep/remote_store.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/result_store.hh"
 #include "sweep/runner.hh"
@@ -47,6 +72,8 @@ usage(int code)
     std::fprintf(
         code == 0 ? stdout : stderr,
         "usage: smtsweep --experiment NAME [options]\n"
+        "       smtsweep --experiment NAME --shards N [options]\n"
+        "       smtsweep --status [--cache-dir DIR | --store-url URL]\n"
         "       smtsweep --list\n"
         "       smtsweep --describe NAME\n"
         "       smtsweep --bench-simspeed [options]\n"
@@ -60,33 +87,58 @@ usage(int code)
         "  --list              list every experiment and exit\n"
         "  --describe NAME     print an experiment's grid as JSON\n"
         "                      (repeatable)\n"
-        "  --cache-dir DIR     result cache directory (default\n"
-        "                      $SMTSWEEP_CACHE or .smtsweep-cache)\n"
+        "  --shards N          coordinate N worker processes of this\n"
+        "                      binary, one shard each, over the shared\n"
+        "                      store, then merge the store into the\n"
+        "                      report (one experiment)\n"
+        "  --status            audit the store against its sweep\n"
+        "                      manifest (done / in-progress / orphaned\n"
+        "                      / pending) and exit\n"
+        "  --cache-dir DIR     result store directory (default\n"
+        "                      .smtsweep-cache)\n"
         "  --store-url URL     shared result store served by smtstore\n"
         "                      (http://host:port; same slot as\n"
         "                      --cache-dir)\n"
         "  --store-token T     bearer token for a token-protected\n"
-        "                      store (prefer --store-token-file or\n"
-        "                      $SMTSTORE_TOKEN: argv is visible in ps)\n"
+        "                      store; --shards hands it to workers\n"
+        "                      through the environment / the ssh\n"
+        "                      channel, never argv (prefer\n"
+        "                      --store-token-file or $SMTSTORE_TOKEN:\n"
+        "                      argv is visible in ps)\n"
         "  --store-token-file P  read the token's first line from P\n"
         "  --marker-ttl S      in-progress marker lease seconds\n"
-        "                      (default 60; heartbeats refresh at S/3)\n"
+        "                      (default 60; heartbeats refresh at S/3;\n"
+        "                      peers adopt work whose lease has expired\n"
+        "                      past the clock-skew slack)\n"
         "  --no-cache          disable the result cache\n"
         "  --require-cached    fail on any cache miss\n"
-        "  --json PATH         write a BENCH_sweep.json artifact\n"
+        "  --json PATH         write a BENCH_sweep.json artifact (with\n"
+        "                      --shards: the coordinator summary; with\n"
+        "                      --status: the audit, \"-\" = stdout)\n"
         "  --cycles N          measured cycles per run\n"
         "  --warmup N          warmup cycles per run\n"
         "  --runs N            rotation runs per data point\n"
-        "  --jobs N            worker threads for the shared pool\n"
+        "  --jobs N            worker threads for the shared pool (with\n"
+        "                      --shards: per worker, default cores /\n"
+        "                      shards)\n"
         "  --serial            run data points serially (no pool)\n"
         "  --shard I/N         run only shard I of N into the shared\n"
-        "                      store (the smtsweep-dist worker protocol:\n"
-        "                      no report; its trace spans stream to\n"
+        "                      store (the --shards worker protocol: no\n"
+        "                      report; its trace spans stream to\n"
         "                      stdout, where the coordinator folds them)\n"
         "  --steal             after the shard: adopt orphaned digests\n"
         "                      of dead shards via the store claim CAS\n"
         "  --steal-wait S      grace seconds to linger for orphans\n"
-        "                      (default 10)\n"
+        "                      (default 10; --shards forwards it)\n"
+        "  --hosts LIST        with --shards: run workers over ssh on\n"
+        "                      these hosts (comma-separated,\n"
+        "                      round-robin)\n"
+        "  --ssh CMD           ssh program for --hosts (default ssh)\n"
+        "  --smtsweep PATH     with --shards: worker binary (default:\n"
+        "                      this executable; with --hosts, the path\n"
+        "                      on the remote hosts)\n"
+        "  --no-progress       with --shards: no live progress line on\n"
+        "                      stderr\n"
         "  --stall-report      after each experiment: print the\n"
         "                      per-thread per-cause stall table (fetch/\n"
         "                      rename/issue slot losses) for every point;\n"
@@ -97,7 +149,11 @@ usage(int code)
         "  --trace-out FILE    append one JSONL trace span per digest\n"
         "                      transition (queued/claimed/run/stored/\n"
         "                      hit) to FILE; the trace id also rides\n"
-        "                      X-Smt-Trace on remote-store requests\n"
+        "                      X-Smt-Trace on remote-store requests.\n"
+        "                      With --shards, FILE also gets every span\n"
+        "                      the workers stream back (local or\n"
+        "                      --hosts), all under one trace id: FILE\n"
+        "                      alone is a complete profile for smttrace\n"
         "  --pipe-out FILE     stream the pipeline microscope to FILE:\n"
         "                      every measured rotation run appends its\n"
         "                      per-instruction lifecycle (fetch through\n"
@@ -115,7 +171,8 @@ usage(int code)
         "                      shape with a full-window pipetrace\n"
         "                      writing to /dev/null, and print the\n"
         "                      on/off throughput ratio\n"
-        "  --verbose           log per-point cache hits/misses\n"
+        "  --verbose           log per-point cache hits/misses (with\n"
+        "                      --shards: verbose workers too)\n"
         "  --help, -h          print this help\n");
     return code;
 }
@@ -150,6 +207,48 @@ parseShardSpec(const char *text, unsigned &index, unsigned &count)
     count = static_cast<unsigned>(spec->second);
 }
 
+/** The registered experiment `name`; null, after saying so on stderr,
+ *  when there is none. */
+const smt::sweep::NamedExperiment *
+lookup(const std::string &name)
+{
+    const smt::sweep::NamedExperiment *e =
+        smt::sweep::findExperiment(name);
+    if (e == nullptr)
+        std::fprintf(stderr,
+                     "smtsweep: unknown experiment \"%s\" (try --list)\n",
+                     name.c_str());
+    return e;
+}
+
+/** This executable's path, the default worker binary of --shards;
+ *  empty when /proc/self/exe is unreadable. */
+std::string
+selfPath()
+{
+    char buf[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf);
+    return n > 0 ? std::string(buf, static_cast<std::size_t>(n))
+                 : std::string();
+}
+
+/** The report every completed sweep prints before its summary line:
+ *  the experiment's tables and claim verdicts, then the stall ledger
+ *  of every point with --stall-report. */
+void
+printOutcome(const smt::sweep::NamedExperiment &e,
+             const smt::sweep::SweepOutcome &outcome, bool stall_report)
+{
+    smt::sweep::printReport(e, outcome);
+    if (!stall_report)
+        return;
+    for (const smt::sweep::PointResult &r : outcome.points)
+        std::printf("\nstall report: %s (%u threads)%s\n%s",
+                    r.point.label.c_str(), r.point.threads,
+                    r.cached ? " [cached]" : "",
+                    r.data.stats.stallReport(r.point.threads).c_str());
+}
+
 } // namespace
 
 int
@@ -157,22 +256,27 @@ main(int argc, char **argv)
 {
     using namespace smt::sweep;
 
-    RunnerOptions ropts = defaultRunnerOptions();
-    if (ropts.cacheDir.empty())
-        ropts.cacheDir = ".smtsweep-cache";
+    RunnerOptions ropts;
+    ropts.cacheDir = ".smtsweep-cache";
 
     std::vector<std::string> names;
     std::string json_path;
     std::string store_token, store_token_file;
     smt::dist::ShardWorkerOptions wopts;
+    smt::dist::DistOptions dopts;
     unsigned shard_count = 0;
+    unsigned shards = 0;
+    unsigned jobs = 0;
     bool list = false;
+    bool status = false;
     bool bench_simspeed = false;
     bool stall_report = false;
     bool pipe_ab = false;
     std::string trace_out;
     std::string pipe_out;
     std::vector<std::string> describe;
+    // Every flag given, for the mode rules below.
+    std::set<std::string> given;
 
     auto next_arg = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -182,7 +286,7 @@ main(int argc, char **argv)
         return argv[++i];
     };
     // Every count flag: a whole number in [min, max], else exit 2
-    // before any point runs.
+    // before any point runs or any worker starts.
     auto count_arg = [&](int &i, std::uint64_t min,
                          std::uint64_t max = UINT64_MAX) -> std::uint64_t {
         const char *flag = argv[i];
@@ -196,7 +300,12 @@ main(int argc, char **argv)
         }
         return *n;
     };
-    // Every seconds flag: a finite number in [min, kMaxSeconds].
+    auto positive = [&](int &i) {
+        return static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
+    };
+    // Every seconds flag: a finite number in [min, kMaxSeconds]. A
+    // coordinator's workers parse the forwarded value with the same
+    // parser.
     auto seconds_arg = [&](int &i, double min) {
         const char *flag = argv[i];
         const char *value = next_arg(i);
@@ -214,6 +323,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        given.insert(arg);
         if (std::strcmp(arg, "--experiment") == 0)
             names.push_back(next_arg(i));
         else if (std::strcmp(arg, "--cache-dir") == 0
@@ -236,10 +346,13 @@ main(int argc, char **argv)
         else if (std::strcmp(arg, "--warmup") == 0)
             ropts.measure.warmupCycles = count_arg(i, 0);
         else if (std::strcmp(arg, "--runs") == 0)
-            ropts.measure.runs =
-                static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
+            ropts.measure.runs = positive(i);
         else if (std::strcmp(arg, "--jobs") == 0)
-            ropts.jobs = static_cast<unsigned>(count_arg(i, 1, UINT_MAX));
+            jobs = positive(i);
+        else if (std::strcmp(arg, "--shards") == 0)
+            shards = positive(i);
+        else if (std::strcmp(arg, "--status") == 0)
+            status = true;
         else if (std::strcmp(arg, "--shard") == 0) {
             parseShardSpec(next_arg(i), wopts.index, shard_count);
             wopts.count = shard_count;
@@ -247,7 +360,16 @@ main(int argc, char **argv)
         else if (std::strcmp(arg, "--steal") == 0)
             wopts.steal.enabled = true;
         else if (std::strcmp(arg, "--steal-wait") == 0)
-            wopts.steal.waitSeconds = seconds_arg(i, 0.0);
+            wopts.steal.waitSeconds = dopts.stealWaitSeconds =
+                seconds_arg(i, 0.0);
+        else if (std::strcmp(arg, "--hosts") == 0)
+            dopts.hostList = next_arg(i);
+        else if (std::strcmp(arg, "--ssh") == 0)
+            dopts.sshProgram = next_arg(i);
+        else if (std::strcmp(arg, "--smtsweep") == 0)
+            dopts.smtsweepPath = next_arg(i);
+        else if (std::strcmp(arg, "--no-progress") == 0)
+            dopts.showProgress = false;
         else if (std::strcmp(arg, "--stall-report") == 0)
             stall_report = true;
         else if (std::strcmp(arg, "--trace-out") == 0)
@@ -290,9 +412,45 @@ main(int argc, char **argv)
         }
     }
 
+    // Mode rules: a flag of another mode exits 2 before any point runs
+    // or any worker starts. A coordinator owns the shard protocol and
+    // the store its workers share; the launch flags mean nothing
+    // without one.
+    if (shards > 0) {
+        for (const char *flag :
+             {"--shard", "--steal", "--no-cache", "--require-cached",
+              "--pipe-out", "--pipe-window", "--pipe-sample"}) {
+            if (given.count(flag) != 0) {
+                std::fprintf(stderr,
+                             "smtsweep: --shards does not take %s\n",
+                             flag);
+                return usage(2);
+            }
+        }
+        if (names.size() > 1) {
+            std::fprintf(stderr, "smtsweep: --shards runs exactly one "
+                                 "experiment\n");
+            return usage(2);
+        }
+    } else {
+        for (const char *flag :
+             {"--hosts", "--ssh", "--smtsweep", "--no-progress"}) {
+            if (given.count(flag) != 0) {
+                std::fprintf(stderr, "smtsweep: %s needs --shards\n",
+                             flag);
+                return usage(2);
+            }
+        }
+    }
     if (shard_count > 0 && !trace_out.empty()) {
         std::fprintf(stderr, "smtsweep: --shard streams its trace spans "
                              "to stdout; drop --trace-out\n");
+        return usage(2);
+    }
+    if ((shard_count > 0 || status) && ropts.cacheDir.empty()) {
+        std::fprintf(stderr, "smtsweep: --%s needs a shared store; do "
+                             "not pass --no-cache\n",
+                     status ? "status" : "shard");
         return usage(2);
     }
 
@@ -303,12 +461,18 @@ main(int argc, char **argv)
         resolveStoreToken(store_token, store_token_file);
 
     // The trace writer must outlive every sweep below; its id comes
-    // from SMTSWEEP_TRACE_ID when set, else a fresh one is minted.
+    // from SMTSWEEP_TRACE_ID when set, else a fresh one is minted. A
+    // coordinator emits its sweep-level spans through it and hands its
+    // id to workers and the store.
     std::unique_ptr<smt::obs::TraceWriter> trace;
     if (!trace_out.empty()) {
         trace = std::make_unique<smt::obs::TraceWriter>(trace_out);
         ropts.trace = trace.get();
     }
+
+    if (status)
+        return smt::dist::auditStore(ropts.cacheDir, ropts.storeToken,
+                                     ropts.verbose, json_path);
 
     // The pipe sink is shared by every measured run of every sweep
     // below; each run interleaves its own stream into the one file.
@@ -325,12 +489,9 @@ main(int argc, char **argv)
         return 0;
     }
     for (const std::string &name : describe) {
-        const NamedExperiment *e = findExperiment(name);
-        if (e == nullptr) {
-            std::fprintf(stderr, "smtsweep: unknown experiment \"%s\"\n",
-                         name.c_str());
+        const NamedExperiment *e = lookup(name);
+        if (e == nullptr)
             return 2;
-        }
         std::printf("%s\n", e->spec.describe().dump(2).c_str());
     }
     if (!describe.empty() && names.empty())
@@ -361,6 +522,56 @@ main(int argc, char **argv)
         return usage(2);
     }
 
+    // Coordinator: workers of this binary measure the shards into the
+    // shared store; the merge replays it into the usual report. --jobs
+    // sizes each worker's pool, never this process's.
+    if (shards > 0) {
+        const NamedExperiment *e = lookup(names[0]);
+        if (e == nullptr)
+            return 2;
+        dopts.shards = shards;
+        dopts.jobsPerWorker = jobs;
+        dopts.ropts = ropts;
+        if (dopts.smtsweepPath.empty())
+            dopts.smtsweepPath = selfPath();
+        // With --hosts the worker path names a binary on the remote
+        // machines; only the local case can be vetted up front.
+        if (dopts.hostList.empty()
+            && ::access(dopts.smtsweepPath.c_str(), X_OK) != 0) {
+            std::fprintf(stderr,
+                         "smtsweep: worker binary %s is not runnable; "
+                         "pass --smtsweep PATH\n",
+                         dopts.smtsweepPath.c_str());
+            return 2;
+        }
+        if (!dopts.hostList.empty()
+            && !isRemoteStoreLocator(dopts.ropts.cacheDir))
+            std::fprintf(stderr,
+                         "smtsweep: note: --hosts with a directory "
+                         "store (%s) requires that path to be a shared "
+                         "filesystem on every host; serve it with "
+                         "smtstore and pass --store-url otherwise\n",
+                         dopts.ropts.cacheDir.c_str());
+
+        smt::dist::DistOutcome outcome;
+        const int rc = smt::dist::runDistributed(*e, dopts, outcome);
+        if (rc != 0) {
+            std::fprintf(stderr, "smtsweep: sweep failed\n");
+            return rc;
+        }
+        printOutcome(*e, outcome.merged, stall_report);
+        std::printf("dist %s: %zu points across %u shards, %u merge "
+                    "hits, %u misses, %.2fs wall\n",
+                    names[0].c_str(), outcome.merged.points.size(),
+                    shards, outcome.merged.cacheHits,
+                    outcome.merged.cacheMisses, outcome.wallSeconds);
+        if (!json_path.empty())
+            writeJsonFile(json_path,
+                          smt::dist::distArtifact(names[0], outcome));
+        return 0;
+    }
+    ropts.jobs = jobs;
+
     // Worker protocol: measure only this shard's slice of the grid
     // into the shared store; the coordinator merges and reports.
     if (shard_count > 0) {
@@ -369,18 +580,9 @@ main(int argc, char **argv)
                                  "experiment\n");
             return usage(2);
         }
-        const NamedExperiment *e = findExperiment(names[0]);
-        if (e == nullptr) {
-            std::fprintf(stderr, "smtsweep: unknown experiment \"%s\" "
-                                 "(try --list)\n",
-                         names[0].c_str());
+        const NamedExperiment *e = lookup(names[0]);
+        if (e == nullptr)
             return 2;
-        }
-        if (ropts.cacheDir.empty()) {
-            std::fprintf(stderr, "smtsweep: --shard needs a shared "
-                                 "store; do not pass --no-cache\n");
-            return usage(2);
-        }
         // The runner's spans are the worker's only report. They join
         // the sweep's trace when the coordinator exports one; without
         // it they carry no trace id, which keeps them out of the
@@ -400,23 +602,11 @@ main(int argc, char **argv)
 
     std::vector<SweepOutcome> outcomes;
     for (const std::string &name : names) {
-        const NamedExperiment *e = findExperiment(name);
-        if (e == nullptr) {
-            std::fprintf(stderr, "smtsweep: unknown experiment \"%s\" "
-                                 "(try --list)\n",
-                         name.c_str());
+        const NamedExperiment *e = lookup(name);
+        if (e == nullptr)
             return 2;
-        }
         SweepOutcome outcome = runSweep(e->spec, ropts);
-        printReport(*e, outcome);
-        if (stall_report) {
-            for (const PointResult &r : outcome.points)
-                std::printf("\nstall report: %s (%u threads)%s\n%s",
-                            r.point.label.c_str(), r.point.threads,
-                            r.cached ? " [cached]" : "",
-                            r.data.stats.stallReport(r.point.threads)
-                                .c_str());
-        }
+        printOutcome(*e, outcome, stall_report);
         std::printf("sweep %s: %zu points, %u cache hits, %u misses, "
                     "%.2fs wall (pool: %u workers%s)\n",
                     outcome.spec.name.c_str(), outcome.points.size(),
