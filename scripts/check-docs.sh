@@ -11,7 +11,8 @@
 #     in `smtsweep --list`, the canonical experiment list;
 #  5. every SMTSIM_*, SMTSWEEP_* or SMTSTORE_* environment variable the
 #     docs name is read somewhere: it appears as a quoted string literal
-#     in src/ or tools/.
+#     in src/ or tools/;
+#  6. every script the docs name (any `scripts/NAME.sh`) exists.
 set -u
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -123,6 +124,16 @@ for f in "${docs[@]}"; do
         fi
     done < <(grep -ohE '\b(SMTSIM|SMTSWEEP|SMTSTORE)_[A-Z0-9_]+' "$f" \
              | sort -u)
+done
+
+# 6. Scripts named in the docs exist (rule 2's twin for scripts/).
+for f in "${docs[@]}"; do
+    while IFS= read -r script; do
+        if [ ! -e "$repo/$script" ]; then
+            echo "unknown script named in ${f#"$repo"/}: $script"
+            fail=1
+        fi
+    done < <(grep -ohE '\bscripts/[A-Za-z0-9_.-]+\.sh' "$f" | sort -u)
 done
 
 if [ "$fail" = 0 ]; then

@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
 # simspeed-ab.sh BASE_SRC CHANGE_SRC [OUT_DIR] — the same-runner
-# simulator-speed A/B that CI runs on pull requests.
+# simulator-speed gate CI runs on pull requests.
 #
 # Builds smtsweep alone (Release) from each source tree into OUT_DIR
 # (default simspeed-ab), runs `smtsweep --bench-simspeed` on the two in
-# alternation, A B A B ... for six rounds, and gates the change's
-# median run per shape against the base's with check-simspeed.sh
-# (SIMSPEED_MIN_RATIO, default 0.9). Both sides run on one host, so
-# their fingerprints match and the gate always compares.
+# alternation, A B A B ... for six rounds, and compares each shape's
+# tick throughput (cycles_per_sec). Each side counts its median run
+# per shape, so one fast or slow outlier on a shared host cannot
+# decide the verdict. A shape regresses when
+#
+#   change/base < 0.9   (a >10% throughput loss)
+#
+# Exits 1 if any shape regresses, and 2 on a usage error or a run
+# whose schema is not smt-simspeed-v1 (a merge base may write another
+# version). Shapes present on one side only are reported but never
+# fail the gate, so adding or retiring a machine shape does not need
+# both trees to know it.
 #
 # The change side builds with -DSMT_WERROR=ON, so a Release-only
 # warning fails the job; the base side keeps the default flags, since a
@@ -24,7 +32,6 @@ if [ $# -lt 2 ]; then
     echo "usage: simspeed-ab.sh BASE_SRC CHANGE_SRC [OUT_DIR]" >&2
     exit 2
 fi
-here="$(cd "$(dirname "$0")" && pwd)"
 out="${3:-simspeed-ab}"
 declare -A src=([base]="$1" [change]="$2")
 declare -A flags=([base]="" [change]="-DSMT_WERROR=ON")
@@ -42,4 +49,57 @@ for round in 1 2 3 4 5 6; do
         runs[$side]+="${runs[$side]:+,}$out/$side-$round.json"
     done
 done
-bash "$here/check-simspeed.sh" "${runs[change]}" "${runs[base]}"
+
+python3 - "${runs[base]}" "${runs[change]}" <<'PY'
+import json
+import statistics
+import sys
+
+MIN_RATIO = 0.9
+
+
+def medians(paths):
+    """Each shape's median cycles_per_sec over one side's runs."""
+    samples = {}
+    for path in paths.split(","):
+        try:
+            doc = json.load(open(path))
+        except ValueError as e:
+            print(f"simspeed-ab: {path}: {e}", file=sys.stderr)
+            sys.exit(2)
+        if doc.get("schema") != "smt-simspeed-v1":
+            print(f"simspeed-ab: {path}: unexpected schema "
+                  f"{doc.get('schema')!r} (want smt-simspeed-v1)",
+                  file=sys.stderr)
+            sys.exit(2)
+        for s in doc.get("shapes", []):
+            samples.setdefault(s["name"], []).append(s["cycles_per_sec"])
+    return {name: statistics.median(v) for name, v in samples.items()}
+
+
+base = medians(sys.argv[1])
+change = medians(sys.argv[2])
+
+failed = []
+print(f"{'shape':<20} {'base':>12} {'change':>12} {'ratio':>7}")
+for name, b in base.items():
+    if name not in change:
+        print(f"{name:<20} {'(not measured on the change)':>33}")
+        continue
+    c = change[name]
+    ratio = c / b if b > 0 else float("inf")
+    mark = ""
+    if ratio < MIN_RATIO:
+        failed.append(name)
+        mark = f"  << regressed (>{(1 - MIN_RATIO) * 100:.0f}% loss)"
+    print(f"{name:<20} {b:>12.0f} {c:>12.0f} {ratio:>7.2f}{mark}")
+for name in change:
+    if name not in base:
+        print(f"{name:<20} {'(new shape, no base)':>33}")
+
+if failed:
+    print(f"\nsimspeed-ab: FAILED — {len(failed)} shape(s) below "
+          f"{MIN_RATIO}x of the base: {', '.join(failed)}")
+    sys.exit(1)
+print(f"\nsimspeed-ab: OK — no shape below {MIN_RATIO}x of the base.")
+PY

@@ -17,10 +17,10 @@
  *                   "ipc", "stage_ns": {...} }, ... ]
  *   }
  *
- * scripts/check-simspeed.sh compares each shape's median
+ * scripts/simspeed-ab.sh compares each shape's median
  * `cycles_per_sec` over several runs against runs of the merge base on
- * the same host (scripts/simspeed-ab.sh); wall-clock numbers do not
- * transfer between machines, so no baseline is committed.
+ * the same host; wall-clock numbers do not transfer between machines,
+ * so no baseline is committed.
  */
 
 #ifndef SMT_SIM_SIMSPEED_HH

@@ -27,8 +27,6 @@ class Table
     /** Render with aligned columns. */
     std::string render() const;
 
-    const std::string &title() const { return title_; }
-
   private:
     std::string title_;
     std::vector<std::string> header_;

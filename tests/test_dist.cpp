@@ -29,6 +29,7 @@
 #include "dist/shard.hh"
 #include "obs/trace.hh"
 #include "obs/trace_analysis.hh"
+#include "support.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
 #include "sweep/result_store.hh"
@@ -43,42 +44,6 @@ namespace
 namespace fs = std::filesystem;
 using sweep::NamedExperiment;
 using sweep::SweepPoint;
-
-/** Tiny budgets so a whole grid measures in well under a second. */
-MeasureOptions
-tinyOptions()
-{
-    MeasureOptions opts;
-    opts.cyclesPerRun = 1200;
-    opts.warmupCycles = 300;
-    opts.runs = 2;
-    return opts;
-}
-
-/** A scratch directory removed when the test ends. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((fs::temp_directory_path()
-                 / ("smtdist_test_" + tag + "_"
-                    + std::to_string(std::random_device{}())))
-                    .string())
-    {
-        fs::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 std::vector<SweepPoint>
 fig5Grid()
@@ -1146,6 +1111,9 @@ coordinateSmokeSweep(bool over_ssh)
     ASSERT_TRUE(set.addFile(trace_path, &error)) << error;
     EXPECT_EQ(set.skipped, 0u);
     const obs::TraceAnalysis analysis = obs::analyzeTrace(set, trace_id);
+    EXPECT_TRUE(analysis.hasSweepStart);
+    EXPECT_TRUE(analysis.hasSweepDone);
+    EXPECT_EQ(analysis.experiment, "smoke");
     EXPECT_EQ(analysis.nonTerminal, 0u);
     EXPECT_EQ(analysis.terminalStored, analysis.digests.size());
     std::set<std::uint64_t> worker_pids;
@@ -1341,6 +1309,13 @@ TEST(Coordinator, DeadWorkersDigestsAreStolenOrRecoveredBeforeTheMerge)
     EXPECT_TRUE(out.shards[1].succeeded);
     EXPECT_EQ(out.shards[1].stolen + out.recoveredInProcess,
               shard0_uniques);
+
+    // The --json summary reports the same recovery.
+    const sweep::Json summary = distArtifact("smoke", out);
+    ASSERT_TRUE(summary.has("orphansDeclared"));
+    EXPECT_EQ(summary.at("orphansDeclared").asUInt(), shard0_uniques);
+    ASSERT_EQ(summary.at("workers").size(), 2u);
+    EXPECT_FALSE(summary.at("workers")[0].at("succeeded").asBool());
 
     ASSERT_EQ(out.merged.points.size(), reference.points.size());
     EXPECT_EQ(out.merged.cacheMisses, 0u);

@@ -21,7 +21,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <random>
 #include <string_view>
 #include <thread>
 
@@ -36,6 +35,7 @@
 #include "net/http_client.hh"
 #include "net/http_server.hh"
 #include "net/socket.hh"
+#include "support.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
 #include "sweep/remote_store.hh"
@@ -49,41 +49,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** A scratch directory removed when the test ends. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((fs::temp_directory_path()
-                 / ("smtnet_test_" + tag + "_"
-                    + std::to_string(std::random_device{}())))
-                    .string())
-    {
-        fs::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-MeasureOptions
-tinyOptions()
-{
-    MeasureOptions opts;
-    opts.cyclesPerRun = 1200;
-    opts.warmupCycles = 300;
-    opts.runs = 2;
-    return opts;
-}
 
 // ---- URLs and headers ------------------------------------------------------
 

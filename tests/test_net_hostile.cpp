@@ -23,9 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <optional>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +34,7 @@
 #include "net/http_server.hh"
 #include "net/socket.hh"
 #include "obs/metrics.hh"
+#include "support.hh"
 #include "sweep/digest.hh"
 #include "sweep/json.hh"
 #include "sweep/remote_store.hh"
@@ -46,33 +45,6 @@ namespace smt
 {
 namespace
 {
-
-namespace fs = std::filesystem;
-
-/** A scratch directory removed when the test ends. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((fs::temp_directory_path()
-                 / ("smthostile_test_" + tag + "_"
-                    + std::to_string(std::random_device{}())))
-                    .string())
-    {
-        fs::create_directories(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 net::HttpServer::Handler
 echoHandler()

@@ -151,13 +151,30 @@ TEST(PipeClosure, EveryTracedInstructionReachesCommitOrSquash)
     topts.samplePeriod = 100;
     tracedRun(presets::icount28(4), path, topts);
 
-    const obs::PipeAnalysis analysis = analyzeFile(path);
+    obs::TraceSet set;
+    std::string error;
+    ASSERT_TRUE(set.addFile(path, &error)) << error;
+    const obs::PipeAnalysis analysis = obs::analyzePipe(set);
     ASSERT_EQ(analysis.streams.size(), 1u);
     EXPECT_GT(analysis.instructions, 0u);
     EXPECT_EQ(analysis.open, 0u);
     EXPECT_EQ(analysis.missingStart, 0u);
     EXPECT_EQ(analysis.missingDone, 0u);
     EXPECT_TRUE(obs::checkPipe(analysis).empty());
+
+    // The smtpipe --json summary carries every stage-to-stage latency,
+    // each measured and with ordered percentiles.
+    const sweep::Json summary = obs::pipeSummary(analysis, set);
+    EXPECT_EQ(summary.at("schema").asString(), "smt-pipe-v1");
+    const sweep::Json &latency = summary.at("stageLatency");
+    for (const char *key : {"fetchToDecode", "renameToIssue", "issueToExec",
+                            "execToCommit", "fetchToCommit"}) {
+        ASSERT_TRUE(latency.has(key)) << key;
+        const sweep::Json &s = latency.at(key);
+        EXPECT_GT(s.at("count").asUInt(), 0u) << key;
+        EXPECT_LE(s.at("p50").asDouble(), s.at("p99").asDouble()) << key;
+        EXPECT_LE(s.at("p99").asDouble(), s.at("max").asDouble()) << key;
+    }
 
     // Instructions in flight when the run budget expired were closed
     // as "drain" squashes and counted by pipe_done.

@@ -11,12 +11,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <limits>
-#include <random>
 #include <set>
 
 #include "common/lz.hh"
+#include "support.hh"
 #include "sweep/digest.hh"
 #include "sweep/experiments.hh"
 #include "sweep/json.hh"
@@ -31,43 +30,6 @@ namespace smt::sweep
 {
 namespace
 {
-
-namespace fs = std::filesystem;
-
-/** Tiny budgets so a whole grid measures in well under a second. */
-MeasureOptions
-tinyOptions()
-{
-    MeasureOptions opts;
-    opts.cyclesPerRun = 1200;
-    opts.warmupCycles = 300;
-    opts.runs = 2;
-    return opts;
-}
-
-/** A scratch directory removed when the test ends. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_((fs::temp_directory_path()
-                 / ("smtsweep_test_" + tag + "_"
-                    + std::to_string(std::random_device{}())))
-                    .string())
-    {
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 // ---- JSON ------------------------------------------------------------------
 

@@ -15,9 +15,10 @@
  *
  * Results land as JSON (--json) in the same shape as BENCH_simspeed:
  * a schema tag, the host fingerprint, the options that produced the
- * numbers, and one record per concurrency level. scripts/
- * check-storeload.sh gates CI on it (zero errors at >= the required
- * level); bench/BENCH_store.json records a full local run.
+ * numbers, and one record per concurrency level; latency percentiles
+ * are nearest-rank, as smttrace and smtpipe report them. The exit
+ * status is the gate (--require-zero-errors, --min-connections);
+ * bench/BENCH_store.json records a full local run.
  *
  * Workers deliberately reuse keep-alive connections and speak the
  * exact production wire protocol (content-digest-verified PUTs, claim
@@ -36,8 +37,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh"
 #include "net/http_client.hh"
 #include "net/http_server.hh"
+#include "obs/trace_analysis.hh"
 #include "sim/mix_runner.hh"
 #include "sim/simspeed.hh"
 #include "sweep/digest.hh"
@@ -84,24 +87,6 @@ usage(int code)
         "  --help, -h      print this help\n");
     return code;
 }
-
-/** One worker's deterministic RNG (split-mix; no global state). */
-struct Rng
-{
-    std::uint64_t s;
-
-    explicit Rng(std::uint64_t seed) : s(seed ^ 0x9e3779b97f4a7c15ULL) {}
-
-    std::uint64_t
-    next()
-    {
-        s += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = s;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-};
 
 enum class Op { Get, Put, Head, Claim, Marker };
 
@@ -210,7 +195,7 @@ entryBody(const std::string &digest, std::size_t payload, Rng &rng)
 {
     sweep::Json stats = sweep::Json::object();
     stats.set("cycles", sweep::Json(static_cast<std::int64_t>(
-                            rng.next() % 1000000)));
+                            rng.next64() % 1000000)));
     std::string pad;
     pad.reserve(payload);
     while (pad.size() < payload)
@@ -239,16 +224,6 @@ struct LevelResult
     double p50 = 0, p90 = 0, p99 = 0, max = 0;
     std::int64_t server_requests_delta = -1;
 };
-
-double
-percentile(std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    const std::size_t idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 /** One request with the token attached; nullopt on transport error. */
 std::optional<net::HttpResponse>
@@ -285,8 +260,8 @@ worker(const net::Url &url, const std::string &token, const Mix &mix,
 
     while (std::chrono::steady_clock::now() < stop_at) {
         const std::string digest =
-            keyDigest(static_cast<unsigned>(rng.next() % keyspace));
-        const Op op = mix.pick(rng.next());
+            keyDigest(static_cast<unsigned>(rng.next64() % keyspace));
+        const Op op = mix.pick(rng.next64());
         const auto t0 = std::chrono::steady_clock::now();
         std::optional<net::HttpResponse> resp;
         bool ok = false;
@@ -574,9 +549,9 @@ main(int argc, char **argv)
                        w.latencies_us.end());
         }
         std::sort(all.begin(), all.end());
-        level.p50 = percentile(all, 0.50);
-        level.p90 = percentile(all, 0.90);
-        level.p99 = percentile(all, 0.99);
+        level.p50 = obs::percentile(all, 50.0);
+        level.p90 = obs::percentile(all, 90.0);
+        level.p99 = obs::percentile(all, 99.0);
         level.max = all.empty() ? 0 : all.back();
         if (before >= 0 && after >= 0)
             level.server_requests_delta = after - before;

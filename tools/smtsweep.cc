@@ -26,7 +26,7 @@
  *   smtsweep --bench-simspeed [--json BENCH_simspeed.json]
  *       measure simulator speed (simulated cycles per wall-clock
  *       second) over the default machine shapes and write the
- *       "smt-simspeed-v1" artifact scripts/check-simspeed.sh gates on.
+ *       "smt-simspeed-v1" artifact scripts/simspeed-ab.sh gates on.
  *
  * A measurement budget is MeasureOptions' default (40000 measured and
  * 30000 warm-up cycles, 8 runs), overridden by --cycles / --warmup /
