@@ -6,7 +6,8 @@
  * registration selected by SmtConfig's policy names), and golden-stats
  * regressions: the refactored core against the pre-refactor cycle
  * behaviour on the RR and ICOUNT.2.8 machines, and every paper policy
- * pair against its recorded statistics and stall ledger.
+ * pair (plus four more machines) against its recorded statistics, stall
+ * ledger and a digest of every statistic.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include "core/pipeline_state.hh"
 #include "policy/registry.hh"
 #include "sim/simulator.hh"
+#include "sweep/serialize.hh"
 #include "sweep/spec.hh"
+#include "sweep/store_service.hh"
 #include "workload/mix.hh"
 
 namespace smt
@@ -338,6 +341,10 @@ struct PairGolden
             renameNoRegisters, issueOperandWait, issueFuBusy,
             issueNoCandidatesCycles;
     } ledger;
+
+    /** statsDigest() of the run: every statistic, including the cache,
+     *  TLB and per-thread ledger counts the two groups above omit. */
+    const char *digest;
 };
 
 /**
@@ -350,32 +357,48 @@ struct PairGolden
 constexpr PairGolden kPairGoldens[] = {
     {"RR", "OLDEST_FIRST",
      {6000, 3228, 3693, 256, 4151, 97, 420, 12, 191},
-     {592, 13302, 9956, 0, 150, 9704, 1487, 150815, 1869, 311}},
+     {592, 13302, 9956, 0, 150, 9704, 1487, 150815, 1869, 311},
+     "1d041b3068a3321c84a6ff6d4c837776"},
     {"BRCOUNT", "OLDEST_FIRST",
      {6000, 2997, 3548, 333, 3922, 137, 406, 13, 192},
-     {566, 14178, 9148, 0, 108, 8506, 1953, 153085, 1689, 312}},
+     {566, 14178, 9148, 0, 108, 8506, 1953, 153085, 1689, 312},
+     "b8a7a25be983c74082ae7c599fc28108"},
     {"MISSCOUNT", "OLDEST_FIRST",
      {6000, 3400, 3783, 232, 4273, 96, 410, 13, 189},
-     {605, 13954, 9307, 0, 134, 8695, 1885, 140769, 1851, 311}},
+     {605, 13954, 9307, 0, 134, 8695, 1885, 140769, 1851, 311},
+     "dbb0a0db634809d8f0517a730ea840b9"},
     {"ICOUNT", "OLDEST_FIRST",
      {6000, 3080, 3615, 332, 4010, 152, 386, 13, 198},
-     {578, 14123, 9160, 0, 139, 8687, 1655, 146218, 1780, 312}},
+     {578, 14123, 9160, 0, 139, 8687, 1655, 146218, 1780, 312},
+     "3ed3e31c4d7f9c502487c64dc394f141"},
     {"IQPOSN", "OLDEST_FIRST",
      {6000, 3360, 3773, 261, 4271, 130, 415, 13, 190},
-     {607, 13878, 9402, 0, 113, 8735, 1841, 135817, 1778, 323}},
+     {607, 13878, 9402, 0, 113, 8735, 1841, 135817, 1778, 323},
+     "19256d37d0f044b6cb8a6f14770fae35"},
     {"ICOUNT+MISSCOUNT", "OLDEST_FIRST",
      {6000, 3289, 3684, 236, 4183, 109, 398, 13, 189},
-     {593, 14057, 9226, 0, 124, 8688, 1870, 140652, 1788, 312}},
+     {593, 14057, 9226, 0, 124, 8688, 1870, 140652, 1788, 312},
+     "0fee034bcb56e91cf50b996f1a494bd2"},
     {"ICOUNT", "OPT_LAST",
      {6000, 3080, 3615, 332, 4021, 161, 379, 13, 202},
-     {578, 14271, 9040, 0, 111, 8725, 1468, 148017, 1119, 312}},
+     {578, 14271, 9040, 0, 111, 8725, 1468, 148017, 1119, 312},
+     "5866e4c4877126d0ba85f8db90ba5c48"},
     {"ICOUNT", "SPEC_LAST",
      {6000, 3080, 3635, 341, 4008, 157, 366, 13, 198},
-     {583, 14122, 9174, 0, 121, 8427, 1954, 145376, 1874, 312}},
+     {583, 14122, 9174, 0, 121, 8427, 1954, 145376, 1874, 312},
+     "54b701fa9b11ccde5be520b46f23ddd3"},
     {"ICOUNT", "BRANCH_FIRST",
      {6000, 3254, 3776, 348, 4182, 165, 376, 13, 209},
-     {605, 14171, 9091, 0, 133, 8547, 1725, 142260, 1394, 312}},
+     {605, 14171, 9091, 0, 133, 8547, 1725, 142260, 1394, 312},
+     "2db52c85deab830cd66178fd7f3822ea"},
 };
+
+/** The content digest of a run's full `toJson(SimStats)` dump. */
+std::string
+statsDigest(const SimStats &s)
+{
+    return sweep::contentDigest(sweep::toJson(s).dump());
+}
 
 std::uint64_t
 threadSum(const std::array<std::uint64_t, kMaxThreads> &perThread)
@@ -431,6 +454,62 @@ TEST(GoldenStats, EveryPaperPolicyPairMatchesTheParent)
         EXPECT_EQ(sl.issueNoCandidatesCycles,
                   g.ledger.issueNoCandidatesCycles)
             << what;
+        EXPECT_EQ(statsDigest(s), g.digest)
+            << what << "\n" << sweep::toJson(s).dump(2);
+    }
+}
+
+/** A machine pinned by the digest of all its statistics alone: seed 1,
+ *  mixForRun, 6000 cycles. */
+struct MachineGolden
+{
+    const char *name;
+    SmtConfig (*config)();
+    const char *digest;
+};
+
+/**
+ * The 8-thread machines of Section 5 (ICOUNT.2.8, its 64-entry BIGQ
+ * and the ITAG front end on ICOUNT.1.8) and a Section 7 speculation
+ * restriction, none of which the 4-thread pairs above exercise.
+ */
+const MachineGolden kMachineGoldens[] = {
+    {"ICOUNT.2.8 x8", [] { return presets::icount28(8); },
+     "3cff0642b9f4ee08dca375c0bc7db4f2"},
+    {"BIGQ ICOUNT.2.8 x8",
+     [] {
+         SmtConfig cfg = presets::icount28(8);
+         cfg.intQueueEntries = 64;
+         cfg.fpQueueEntries = 64;
+         return cfg;
+     },
+     "a19efb1f04de0644d0abdb8934079253"},
+    {"ITAG ICOUNT.1.8 x8",
+     [] {
+         SmtConfig cfg = presets::baseSmt(8);
+         cfg.fetchPolicy = "ICOUNT";
+         cfg.itagEarlyLookup = true;
+         return cfg;
+     },
+     "429a51583506d6d28b25486fe3d3af3f"},
+    {"no-wrong-path-issue ICOUNT.2.8 x4",
+     [] {
+         SmtConfig cfg = presets::icount28(4);
+         cfg.speculation = SpeculationMode::NoWrongPathIssue;
+         return cfg;
+     },
+     "6d2bedc19eddbf5879b176b10c2dceb4"},
+};
+
+TEST(GoldenStats, EveryStatisticOfFourMoreMachinesMatchesTheParent)
+{
+    for (const MachineGolden &g : kMachineGoldens) {
+        const SmtConfig cfg = g.config();
+        Simulator sim(cfg, mixForRun(cfg.numThreads, 0));
+        sim.run(6000);
+        sim.core().validateInvariants();
+        EXPECT_EQ(statsDigest(sim.stats()), g.digest)
+            << g.name << "\n" << sweep::toJson(sim.stats()).dump(2);
     }
 }
 
