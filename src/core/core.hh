@@ -109,9 +109,6 @@ class SmtCore
         return state_.stats.committedInstructions;
     }
 
-    /** Live in-flight instruction count (liveness checks in tests). */
-    std::size_t liveInstructions() const { return state_.pool.live(); }
-
     /** Pool high-water mark (steady-state allocation audits). */
     std::size_t poolAllocated() const { return state_.pool.allocated(); }
 

@@ -80,9 +80,10 @@ BankedCache::Line *
 BankedCache::findLine(Addr line_addr)
 {
     const std::size_t set = setIndex(line_addr);
+    const Addr want = line_addr | Line::kValid;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &l = lines_[set * params_.assoc + w];
-        if (l.valid && l.tag == line_addr)
+        if ((l.tagWord & ~Line::kDirty) == want)
             return &l;
     }
     return nullptr;
@@ -101,24 +102,23 @@ BankedCache::installLine(Addr line_addr, Cycle ready, bool dirty)
     Line *victim = &lines_[set * params_.assoc];
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &cand = lines_[set * params_.assoc + w];
-        if (!cand.valid) {
+        if (!cand.valid()) {
             victim = &cand;
             break;
         }
         if (cand.lru < victim->lru)
             victim = &cand;
     }
-    if (victim->valid && victim->dirty) {
+    if (victim->valid() && victim->dirty()) {
         ++stats_.writebacks;
         if (next_ != nullptr) {
-            next_->acceptWriteback(victim->tag * params_.lineBytes, ready);
+            next_->acceptWriteback(victim->tag() * params_.lineBytes, ready);
         } else if (!infiniteBandwidth_) {
             memBusyUntil_ = std::max(memBusyUntil_, ready) + memOccupancy_;
         }
     }
-    victim->valid = true;
-    victim->tag = line_addr;
-    victim->dirty = dirty;
+    smt_assert((line_addr & (Line::kValid | Line::kDirty)) == 0);
+    victim->tagWord = line_addr | Line::kValid | (dirty ? Line::kDirty : 0);
     victim->lru = ++lruClock_;
 
     if (!infiniteBandwidth_) {
@@ -196,7 +196,7 @@ BankedCache::access(Addr addr, Cycle now, bool is_write)
     if (line != nullptr) {
         line->lru = ++lruClock_;
         if (is_write)
-            line->dirty = true;
+            line->tagWord |= Line::kDirty;
         res.hit = true;
         res.ready = now;
         return res;
@@ -204,8 +204,6 @@ BankedCache::access(Addr addr, Cycle now, bool is_write)
 
     // Miss: fetch from below, install, track in the MSHR.
     ++stats_.misses;
-    if (missLog != nullptr)
-        missLog->push_back(addr);
     const Cycle ready = missToBelow(addr, now);
     installLine(line_addr, ready, is_write);
     if (mshr_.size() >= params_.mshrs) {

@@ -67,18 +67,27 @@ class BankedCache
 
     const CacheParams &params() const { return params_; }
 
-    /** Optional diagnostic: when set, miss line addresses are appended
-     *  (used by calibration tooling and tests; no timing effect). */
-    std::vector<Addr> *missLog = nullptr;
-
   private:
+    /**
+     * One line's tag state in 16 bytes: a line address is below 2^58,
+     * so the valid and dirty bits live in the top two bits of its tag
+     * word. Every machine value-initializes its lines (the 2 MB
+     * direct-mapped L3 alone has 32,768), so their size is part of
+     * what building a machine costs.
+     */
     struct Line
     {
-        bool valid = false;
-        Addr tag = 0;
-        bool dirty = false;
+        static constexpr Addr kValid = Addr{1} << 63;
+        static constexpr Addr kDirty = Addr{1} << 62;
+
+        Addr tagWord = 0; ///< line address | kValid | kDirty.
         std::uint64_t lru = 0;
+
+        bool valid() const { return (tagWord & kValid) != 0; }
+        bool dirty() const { return (tagWord & kDirty) != 0; }
+        Addr tag() const { return tagWord & ~(kValid | kDirty); }
     };
+    static_assert(sizeof(Line) == 16);
 
     Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
     std::size_t setIndex(Addr line_addr) const;

@@ -58,7 +58,9 @@ struct MemBehavior
 /** Possible targets of an indirect jump (switch-style dispatch). */
 struct IndirectBehavior
 {
-    std::vector<Addr> targets; ///< image-relative instruction addresses.
+    /** Absolute code addresses of the arms: the oracle takes them as
+     *  next PCs, so relocating an image shifts them with its code. */
+    std::vector<Addr> targets;
 };
 
 } // namespace smt

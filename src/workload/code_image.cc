@@ -28,6 +28,28 @@ CodeImage::setProgram(std::vector<StaticInst> insts, Addr entry_pc,
     indirectTable_ = std::move(indirect_table);
 }
 
+std::unique_ptr<CodeImage>
+CodeImage::relocated(Addr code_base, Addr data_base, Addr stack_base) const
+{
+    // Unsigned wrap-around makes the shift exact in either direction.
+    const Addr shift = code_base - codeBase_;
+    std::vector<StaticInst> insts = insts_;
+    for (StaticInst &si : insts) {
+        if (si.target != kNoAddr)
+            si.target += shift;
+    }
+    std::vector<IndirectBehavior> indirect_table = indirectTable_;
+    for (IndirectBehavior &ib : indirect_table) {
+        for (Addr &target : ib.targets)
+            target += shift;
+    }
+    auto image = std::make_unique<CodeImage>(profile_, code_base, data_base,
+                                             stack_base);
+    image->setProgram(std::move(insts), entryPc_ + shift, branchTable_,
+                      memTable_, std::move(indirect_table));
+    return image;
+}
+
 Addr
 CodeImage::memAddrFor(const StaticInst &si, std::uint64_t instance,
                       std::uint64_t random_draw) const

@@ -98,7 +98,15 @@ class CodeImage
 
     std::size_t numBranchBehaviors() const { return branchTable_.size(); }
     std::size_t numMemBehaviors() const { return memTable_.size(); }
-    std::size_t numIndirectBehaviors() const { return indirectTable_.size(); }
+
+    /**
+     * A copy of this program at other base addresses. Only code
+     * addresses move (each direct target, each indirect-jump arm and the
+     * entry PC); data and stack addresses are built from the bases at
+     * access time.
+     */
+    std::unique_ptr<CodeImage> relocated(Addr code_base, Addr data_base,
+                                         Addr stack_base) const;
 
     /**
      * Install the generated program. Called exactly once by the
@@ -125,11 +133,30 @@ class CodeImage
 /**
  * Generate a program for `profile`, deterministically from `seed`, at
  * the given base addresses.
+ *
+ * A program is a pure function of (profile, seed): the bases only
+ * place it. So the program is generated once at code base 0, kept
+ * among the last kCachedPrograms generated, and each call returns a
+ * relocated copy, equal field by field to generateProgramUncached().
+ * Safe to call from several threads.
  */
 std::unique_ptr<CodeImage> generateProgram(const BenchmarkProfile &profile,
                                            std::uint64_t seed,
                                            Addr code_base, Addr data_base,
                                            Addr stack_base);
+
+/** Generate directly at the given bases, bypassing the cache: the
+ *  reference generateProgram() must reproduce. */
+std::unique_ptr<CodeImage>
+generateProgramUncached(const BenchmarkProfile &profile, std::uint64_t seed,
+                        Addr code_base, Addr data_base, Addr stack_base);
+
+/** Programs generateProgram() keeps: one rotation's worth, the eight
+ *  benchmarks at one seed. */
+constexpr std::size_t kCachedPrograms = 8;
+
+/** Programs generateProgram() holds now (at most kCachedPrograms). */
+std::size_t cachedProgramCount();
 
 /** Standard per-thread address layout used by the simulator. */
 struct AddressLayout

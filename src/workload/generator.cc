@@ -20,6 +20,7 @@
 #include "workload/code_image.hh"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -515,11 +516,70 @@ class ProgramBuilder
     std::vector<std::uint32_t> streamRepeat_;
 };
 
+/**
+ * The last kCachedPrograms programs generated, at base 0, least recently
+ * used first. Every machine of a paper grid runs the eight benchmarks
+ * at one config seed, so after the first rotation run each machine
+ * only relocates copies.
+ */
+class ProgramCache
+{
+  public:
+    std::shared_ptr<const CodeImage>
+    get(const BenchmarkProfile &profile, std::uint64_t seed)
+    {
+        // A miss generates under the lock, so a program is generated
+        // once however many threads ask for it; it costs well under a
+        // millisecond, about once per (profile, seed) per process.
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = std::find_if(entries_.begin(), entries_.end(),
+                               [&](const Entry &e) {
+                                   return e.seed == seed &&
+                                          e.image->profile() == profile;
+                               });
+        Entry entry;
+        if (it != entries_.end()) {
+            entry = std::move(*it);
+            entries_.erase(it);
+        } else {
+            entry = {seed, generateProgramUncached(profile, seed, 0, 0, 0)};
+            if (entries_.size() == kCachedPrograms)
+                entries_.erase(entries_.begin());
+        }
+        entries_.push_back(entry);
+        return entry.image;
+    }
+
+    std::size_t
+    size()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return entries_.size();
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t seed = 0;
+        std::shared_ptr<const CodeImage> image;
+    };
+
+    std::mutex mutex_;
+    std::vector<Entry> entries_;
+};
+
+ProgramCache &
+programCache()
+{
+    static ProgramCache cache;
+    return cache;
+}
+
 } // namespace
 
 std::unique_ptr<CodeImage>
-generateProgram(const BenchmarkProfile &profile, std::uint64_t seed,
-                Addr code_base, Addr data_base, Addr stack_base)
+generateProgramUncached(const BenchmarkProfile &profile, std::uint64_t seed,
+                        Addr code_base, Addr data_base, Addr stack_base)
 {
     auto image = std::make_unique<CodeImage>(profile, code_base, data_base,
                                              stack_base);
@@ -527,6 +587,21 @@ generateProgram(const BenchmarkProfile &profile, std::uint64_t seed,
     ProgramBuilder builder(profile, rng);
     builder.build(*image);
     return image;
+}
+
+std::unique_ptr<CodeImage>
+generateProgram(const BenchmarkProfile &profile, std::uint64_t seed,
+                Addr code_base, Addr data_base, Addr stack_base)
+{
+    return programCache().get(profile, seed)->relocated(code_base,
+                                                        data_base,
+                                                        stack_base);
+}
+
+std::size_t
+cachedProgramCount()
+{
+    return programCache().size();
 }
 
 } // namespace smt

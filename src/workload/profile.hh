@@ -81,6 +81,9 @@ struct BenchmarkProfile
     /** Total data segment bytes needed (streams + heap), computed lazily
      *  by the generator; stored here for tests. */
     std::uint64_t dataFootprint() const;
+
+    /** Field-wise: the program cache keys on the whole profile. */
+    bool operator==(const BenchmarkProfile &) const = default;
 };
 
 /** The paper's eight workloads, in the order used by the mix rotation. */

@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the workload substrate: profile table, program generation
- * (structural validity, determinism), the oracle (stream semantics,
- * loop behaviour, rewind support), and the mix rotation.
+ * (structural validity, determinism), the program cache (relocated
+ * copies equal direct generation, bounded, thread-safe), the oracle
+ * (stream semantics, loop behaviour, rewind support), and the mix
+ * rotation.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <thread>
 
 #include "workload/code_image.hh"
 #include "workload/mix.hh"
@@ -145,6 +148,176 @@ TEST(Image, OutsideLookupsReturnNull)
     EXPECT_EQ(image->at(image->codeBase() - 4), nullptr);
     EXPECT_EQ(image->at(image->codeBase() + image->codeBytes()), nullptr);
     EXPECT_FALSE(image->contains(image->codeBase() + 2)); // misaligned.
+}
+
+// ---- Program cache -----------------------------------------------------
+
+bool
+sameReg(const LogReg &x, const LogReg &y)
+{
+    return x.index == y.index && x.file == y.file;
+}
+
+bool
+sameInst(const StaticInst &x, const StaticInst &y)
+{
+    return x.op == y.op && sameReg(x.dest, y.dest) &&
+           sameReg(x.src1, y.src1) && sameReg(x.src2, y.src2) &&
+           x.target == y.target && x.annot == y.annot;
+}
+
+bool
+sameBranch(const BranchBehavior &x, const BranchBehavior &y)
+{
+    return x.kind == y.kind && x.takenProb == y.takenProb &&
+           x.minTrip == y.minTrip && x.maxTrip == y.maxTrip;
+}
+
+bool
+sameMem(const MemBehavior &x, const MemBehavior &y)
+{
+    return x.kind == y.kind && x.regionOffset == y.regionOffset &&
+           x.regionBytes == y.regionBytes &&
+           x.strideBytes == y.strideBytes && x.repeat == y.repeat &&
+           x.hotFraction == y.hotFraction && x.hotBytes == y.hotBytes;
+}
+
+/** The first field in which two images differ, or "" when every field
+ *  matches: bases, entry PC, profile, each StaticInst and the three
+ *  behaviour tables (the indirect table through the jumps that index
+ *  it, one entry per jump). */
+std::string
+firstDifference(const CodeImage &a, const CodeImage &b)
+{
+    if (a.codeBase() != b.codeBase() || a.dataBase() != b.dataBase() ||
+        a.stackBase() != b.stackBase())
+        return "bases";
+    if (a.entryPc() != b.entryPc())
+        return "entry pc";
+    if (!(a.profile() == b.profile()))
+        return "profile";
+    if (a.numInsts() != b.numInsts())
+        return "instruction count";
+    if (a.numBranchBehaviors() != b.numBranchBehaviors() ||
+        a.numMemBehaviors() != b.numMemBehaviors())
+        return "behaviour table sizes";
+    for (std::size_t i = 0; i < a.numInsts(); ++i) {
+        const Addr pc = a.codeBase() + i * kInstBytes;
+        const StaticInst &x = *a.at(pc);
+        if (!sameInst(x, *b.at(pc)))
+            return "instruction " + std::to_string(i);
+        if (x.op == OpClass::IndirectJump &&
+            a.indirectBehavior(x.annot).targets !=
+                b.indirectBehavior(x.annot).targets)
+            return "indirect targets of instruction " + std::to_string(i);
+    }
+    for (std::uint32_t i = 0; i < a.numBranchBehaviors(); ++i)
+        if (!sameBranch(a.branchBehavior(i), b.branchBehavior(i)))
+            return "branch behaviour " + std::to_string(i);
+    for (std::uint32_t i = 0; i < a.numMemBehaviors(); ++i)
+        if (!sameMem(a.memBehavior(i), b.memBehavior(i)))
+            return "mem behaviour " + std::to_string(i);
+    return "";
+}
+
+std::unique_ptr<CodeImage>
+cachedAt(const BenchmarkProfile &prof, std::uint64_t seed, ThreadID tid)
+{
+    return generateProgram(prof, seed, AddressLayout::codeBase(tid),
+                           AddressLayout::dataBase(tid),
+                           AddressLayout::stackBase(tid));
+}
+
+std::unique_ptr<CodeImage>
+directAt(const BenchmarkProfile &prof, std::uint64_t seed, ThreadID tid)
+{
+    return generateProgramUncached(prof, seed, AddressLayout::codeBase(tid),
+                                   AddressLayout::dataBase(tid),
+                                   AddressLayout::stackBase(tid));
+}
+
+TEST(ProgramCache, RelocatedCopiesEqualDirectGeneration)
+{
+    for (std::uint64_t seed : {1ull, 0x9e3779b97f4a7c15ull}) {
+        for (Benchmark bench : allBenchmarks()) {
+            const BenchmarkProfile &prof = benchmarkProfile(bench);
+            for (ThreadID tid = 0; tid < kMaxThreads; ++tid) {
+                EXPECT_EQ(firstDifference(*cachedAt(prof, seed, tid),
+                                          *directAt(prof, seed, tid)),
+                          "")
+                    << benchmarkName(bench) << " seed " << seed
+                    << " context " << tid;
+            }
+        }
+    }
+}
+
+TEST(ProgramCache, RepeatedCallReturnsAnEqualImage)
+{
+    const BenchmarkProfile &prof = benchmarkProfile(Benchmark::Xlisp);
+    auto first = cachedAt(prof, 42, 3);
+    auto second = cachedAt(prof, 42, 3);
+    EXPECT_NE(first.get(), second.get());
+    EXPECT_EQ(firstDifference(*first, *second), "");
+}
+
+TEST(ProgramCache, KeysOnEveryProfileFieldNotTheName)
+{
+    // A custom profile that keeps a benchmark's name but changes one
+    // field is a different program.
+    const BenchmarkProfile &prof = benchmarkProfile(Benchmark::Espresso);
+    BenchmarkProfile longer = prof;
+    longer.avgBlockLen += 2.0;
+    auto base = cachedAt(prof, 5, 0);
+    auto custom = cachedAt(longer, 5, 0);
+    EXPECT_NE(firstDifference(*base, *custom), "");
+    EXPECT_EQ(firstDifference(*custom, *directAt(longer, 5, 0)), "");
+    EXPECT_EQ(firstDifference(*base, *directAt(prof, 5, 0)), "");
+}
+
+TEST(ProgramCache, ConcurrentCallersGetEqualImages)
+{
+    // Seeds no other test uses, so the four threads race on misses.
+    constexpr unsigned kThreads = 4;
+    const std::uint64_t seeds[] = {0xC0FFEE01, 0xC0FFEE02};
+    std::vector<std::vector<std::unique_ptr<CodeImage>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::uint64_t seed : seeds)
+                for (Benchmark bench : allBenchmarks())
+                    got[t].push_back(cachedAt(benchmarkProfile(bench), seed,
+                                              static_cast<ThreadID>(t)));
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (unsigned t = 0; t < kThreads; ++t) {
+        std::size_t i = 0;
+        for (std::uint64_t seed : seeds) {
+            for (Benchmark bench : allBenchmarks()) {
+                EXPECT_EQ(firstDifference(
+                              *got[t][i++],
+                              *directAt(benchmarkProfile(bench), seed,
+                                        static_cast<ThreadID>(t))),
+                          "")
+                    << benchmarkName(bench) << " seed " << seed
+                    << " thread " << t;
+            }
+        }
+    }
+}
+
+TEST(ProgramCache, HoldsAtMostEightPrograms)
+{
+    for (std::uint64_t seed : {11ull, 12ull}) {
+        for (Benchmark bench : allBenchmarks()) {
+            cachedAt(benchmarkProfile(bench), seed, 0);
+            EXPECT_LE(cachedProgramCount(), kCachedPrograms);
+        }
+    }
+    EXPECT_EQ(cachedProgramCount(), kCachedPrograms);
 }
 
 TEST(Oracle, StreamIsDeterministic)
