@@ -1,11 +1,13 @@
 #include "sim/simspeed.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <thread>
 
 #include "obs/pipe_trace.hh"
+#include "obs/trace_analysis.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -62,8 +64,11 @@ measureShape(const ShapeSpec &spec, const Options &opts)
     // Best-of-N on fresh machines: each repeat re-runs the identical
     // deterministic simulation, so the fastest wall-clock is the least
     // noise-disturbed measurement of the same work.
+    std::vector<double> build_us;
     for (unsigned rep = 0; rep < std::max(1u, opts.repeats); ++rep) {
+        const auto b0 = std::chrono::steady_clock::now();
         Simulator sim(spec.cfg, spec.mix);
+        build_us.push_back(1e6 * secondsSince(b0));
         sim.warmup(opts.warmupCycles);
         const auto t0 = std::chrono::steady_clock::now();
         sim.run(opts.measureCycles);
@@ -77,6 +82,8 @@ measureShape(const ShapeSpec &spec, const Options &opts)
     }
     r.cyclesPerSec =
         r.seconds > 0.0 ? static_cast<double>(r.cycles) / r.seconds : 0.0;
+    std::sort(build_us.begin(), build_us.end());
+    r.buildUs = obs::percentile(build_us, 50.0);
 
     if (opts.pipeAb) {
         // The "tracing on" arm: identical simulation, full admission
@@ -181,6 +188,7 @@ toJson(const std::vector<ShapeResult> &results, const Options &opts)
         s.set("ipc", sweep::Json(r.ipc));
         s.set("seconds", sweep::Json(r.seconds));
         s.set("cycles_per_sec", sweep::Json(r.cyclesPerSec));
+        s.set("build_us", sweep::Json(r.buildUs));
         if (r.cyclesPerSecPipeOn > 0.0) {
             s.set("cycles_per_sec_pipe_on",
                   sweep::Json(r.cyclesPerSecPipeOn));
@@ -205,8 +213,9 @@ formatTable(const std::vector<ShapeResult> &results)
 {
     std::string out;
     char line[256];
-    std::snprintf(line, sizeof(line), "%-20s %7s %11s %7s %s\n",
-                  "shape", "threads", "cyc/sec", "IPC", "hottest stage");
+    std::snprintf(line, sizeof(line), "%-20s %7s %11s %9s %7s %s\n",
+                  "shape", "threads", "cyc/sec", "build us", "IPC",
+                  "hottest stage");
     out += line;
     for (const ShapeResult &r : results) {
         unsigned hot = 0;
@@ -216,8 +225,9 @@ formatTable(const std::vector<ShapeResult> &results)
         const std::uint64_t total =
             StageTimes{r.stageNs}.totalNs();
         std::snprintf(line, sizeof(line),
-                      "%-20s %7u %11.0f %7.3f %s (%.0f%%)\n",
-                      r.name.c_str(), r.threads, r.cyclesPerSec, r.ipc,
+                      "%-20s %7u %11.0f %9.0f %7.3f %s (%.0f%%)\n",
+                      r.name.c_str(), r.threads, r.cyclesPerSec, r.buildUs,
+                      r.ipc,
                       StageTimes::stageName(hot),
                       total > 0 ? 100.0 * static_cast<double>(
                                               r.stageNs[hot]) /

@@ -14,13 +14,13 @@
  *     "host": { "cpu": ..., "hardware_threads": ... },
  *     "options": { warmup/measure cycle counts, repeats },
  *     "shapes": [ { "name", "threads", policies, "cycles_per_sec",
- *                   "ipc", "stage_ns": {...} }, ... ]
+ *                   "build_us", "ipc", "stage_ns": {...} }, ... ]
  *   }
  *
  * scripts/simspeed-ab.sh compares each shape's median
- * `cycles_per_sec` over several runs against runs of the merge base on
- * the same host; wall-clock numbers do not transfer between machines,
- * so no baseline is committed.
+ * `cycles_per_sec` and `build_us` over several runs against runs of
+ * the merge base on the same host; wall-clock numbers do not transfer
+ * between machines, so no baseline is committed.
  */
 
 #ifndef SMT_SIM_SIMSPEED_HH
@@ -76,6 +76,9 @@ struct ShapeResult
     double ipc = 0.0;
     double seconds = 0.0;      ///< best repeat's wall-clock.
     double cyclesPerSec = 0.0; ///< cycles / seconds (the gated metric).
+    /** Median over the repeats of constructing the machine, in µs
+     *  (gated against the base at 2x). */
+    double buildUs = 0.0;
 
     /** Throughput with a full-window pipetrace attached (to
      *  /dev/null); 0 when the A/B pass was not requested. Never
