@@ -537,17 +537,15 @@ class ProgramCache
                                    return e.seed == seed &&
                                           e.image->profile() == profile;
                                });
-        Entry entry;
         if (it != entries_.end()) {
-            entry = std::move(*it);
-            entries_.erase(it);
+            std::rotate(it, it + 1, entries_.end());
         } else {
-            entry = {seed, generateProgramUncached(profile, seed, 0, 0, 0)};
             if (entries_.size() == kCachedPrograms)
                 entries_.erase(entries_.begin());
+            entries_.push_back(
+                {seed, generateProgramUncached(profile, seed, 0, 0, 0)});
         }
-        entries_.push_back(entry);
-        return entry.image;
+        return entries_.back().image;
     }
 
     std::size_t
