@@ -135,10 +135,10 @@ class CodeImage
  * the given base addresses.
  *
  * A program is a pure function of (profile, seed): the bases only
- * place it. So the program is generated once at code base 0, kept
- * among the last kCachedPrograms generated, and each call returns a
- * relocated copy, equal field by field to generateProgramUncached().
- * Safe to call from several threads.
+ * place it. So the program is generated once at code base 0 and kept
+ * while it is among the kCachedPrograms most recently used, and each
+ * call returns a relocated copy, equal field by field to
+ * generateProgramUncached(). Safe to call from several threads.
  */
 std::unique_ptr<CodeImage> generateProgram(const BenchmarkProfile &profile,
                                            std::uint64_t seed,
