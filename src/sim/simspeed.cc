@@ -126,6 +126,11 @@ measureShape(const ShapeSpec &spec, const Options &opts)
 std::vector<ShapeResult>
 measureAll(const std::vector<ShapeSpec> &shapes, const Options &opts)
 {
+    // One untimed machine first: a fresh process pays first-touch page
+    // faults on its first large allocations, which would otherwise land
+    // in the first shape's build_us.
+    if (!shapes.empty())
+        Simulator(shapes.front().cfg, shapes.front().mix);
     std::vector<ShapeResult> results;
     results.reserve(shapes.size());
     for (const ShapeSpec &s : shapes)

@@ -518,9 +518,9 @@ class ProgramBuilder
 
 /**
  * The kCachedPrograms most recently used programs, generated at base 0,
- * least recently used first. Every machine of a paper grid runs the eight benchmarks
- * at one config seed, so after the first rotation run each machine
- * only relocates copies.
+ * least recently used first. Every machine of a paper grid runs the
+ * eight benchmarks at one config seed, so after the first rotation run
+ * each machine only relocates copies.
  */
 class ProgramCache
 {
