@@ -12,7 +12,10 @@
 #  5. every SMTSIM_*, SMTSWEEP_* or SMTSTORE_* environment variable the
 #     docs name is read somewhere: it appears as a quoted string literal
 #     in src/ or tools/;
-#  6. every script the docs name (any `scripts/NAME.sh`) exists.
+#  6. every script the docs name (any `scripts/NAME.sh`) exists;
+#  7. the counter table in section 1 of docs/OBSERVABILITY.md names
+#     exactly the counters in StallStats' field list
+#     (src/stats/stats.hh), no more and no fewer.
 set -u
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -135,6 +138,31 @@ for f in "${docs[@]}"; do
         fi
     done < <(grep -ohE '\bscripts/[A-Za-z0-9_.-]+\.sh' "$f" | sort -u)
 done
+
+# 7. The stall-ledger table names exactly StallStats' field list.
+obs="docs/OBSERVABILITY.md"
+listed="$(awk '/^struct StallStats/,/^};/' "$repo/src/stats/stats.hh" \
+          | grep -oE '^ +f\("[A-Za-z]+"' | grep -oE '[A-Za-z]+' \
+          | grep -vx f | sort)"
+documented="$(awk '/^## 1\./,/^## 2\./' "$repo/$obs" \
+              | grep -oE '^\| `[A-Za-z]+` \|' | grep -oE '[A-Za-z]+' \
+              | sort)"
+if [ -z "$listed" ]; then
+    echo "no StallStats field list found in src/stats/stats.hh"
+    fail=1
+fi
+while IFS= read -r name; do
+    echo "stall counter in StallStats' field list missing from the" \
+         "table in $obs section 1: $name"
+    fail=1
+done < <(comm -23 <(printf '%s\n' "$listed") \
+                  <(printf '%s\n' "$documented") | grep .)
+while IFS= read -r name; do
+    echo "counter in the table in $obs section 1 is not in" \
+         "StallStats' field list: $name"
+    fail=1
+done < <(comm -13 <(printf '%s\n' "$listed") \
+                  <(printf '%s\n' "$documented") | grep .)
 
 if [ "$fail" = 0 ]; then
     echo "docs check: OK (${#docs[@]} files)"

@@ -57,6 +57,21 @@ class Histogram
 
     std::size_t buckets() const { return counts_.size(); }
 
+    /**
+     * Add another histogram's samples exactly: bucket counts, raw sum
+     * and sample count, so clamped samples keep their true values.
+     * Both sides must have the same buckets.
+     */
+    void
+    merge(const Histogram &o)
+    {
+        smt_assert(o.counts_.size() == counts_.size());
+        for (std::size_t b = 0; b < counts_.size(); ++b)
+            counts_[b] += o.counts_[b];
+        sum_ += o.sum_;
+        samples_ += o.samples_;
+    }
+
     void
     reset()
     {

@@ -44,6 +44,27 @@ struct CacheParams
     unsigned fillCycles = 2;       ///< bank busy time when a fill arrives.
     unsigned latencyToNext = 6;    ///< request latency to the next level.
     unsigned mshrs = 32;           ///< outstanding-miss capacity.
+
+    /**
+     * The field list: calls `f("key", s.field...)` for every field, in
+     * the digest's byte order. `name` is a display label and stays out
+     * of the digest.
+     */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("sizeBytes", s.sizeBytes...);
+        f("assoc", s.assoc...);
+        f("lineBytes", s.lineBytes...);
+        f("banks", s.banks...);
+        f("accessesPerCycle", s.accessesPerCycle...);
+        f("cyclesPerAccess", s.cyclesPerAccess...);
+        f("transferCycles", s.transferCycles...);
+        f("fillCycles", s.fillCycles...);
+        f("latencyToNext", s.latencyToNext...);
+        f("mshrs", s.mshrs...);
+    }
 };
 
 /** The complete machine configuration. */
@@ -145,6 +166,56 @@ struct SmtConfig
 
     /** Abort with a description if the configuration is inconsistent. */
     void validate() const;
+
+    /**
+     * The field list: calls `f("key", s.field...)` for every field, in
+     * the digest's byte order. It is the canonical JSON the
+     * measurement digest hashes, and every scalar field is an
+     * ExperimentSpec knob under its key.
+     */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("numThreads", s.numThreads...);
+        f("fetchWidth", s.fetchWidth...);
+        f("fetchThreads", s.fetchThreads...);
+        f("fetchPerThread", s.fetchPerThread...);
+        f("decodeWidth", s.decodeWidth...);
+        f("renameWidth", s.renameWidth...);
+        f("commitWidth", s.commitWidth...);
+        f("fetchPolicy", s.fetchPolicy...);
+        f("issuePolicy", s.issuePolicy...);
+        f("speculation", s.speculation...);
+        f("itagEarlyLookup", s.itagEarlyLookup...);
+        f("intQueueEntries", s.intQueueEntries...);
+        f("fpQueueEntries", s.fpQueueEntries...);
+        f("iqSearchWindow", s.iqSearchWindow...);
+        f("intUnits", s.intUnits...);
+        f("loadStoreUnits", s.loadStoreUnits...);
+        f("fpUnits", s.fpUnits...);
+        f("infiniteFunctionalUnits", s.infiniteFunctionalUnits...);
+        f("excessRegisters", s.excessRegisters...);
+        f("totalPhysRegisters", s.totalPhysRegisters...);
+        f("longRegisterPipeline", s.longRegisterPipeline...);
+        f("btbEntries", s.btbEntries...);
+        f("btbAssoc", s.btbAssoc...);
+        f("btbThreadIds", s.btbThreadIds...);
+        f("phtEntries", s.phtEntries...);
+        f("phtHistoryBits", s.phtHistoryBits...);
+        f("rasEntries", s.rasEntries...);
+        f("perfectBranchPrediction", s.perfectBranchPrediction...);
+        f("icache", s.icache...);
+        f("dcache", s.dcache...);
+        f("l2", s.l2...);
+        f("l3", s.l3...);
+        f("infiniteCacheBandwidth", s.infiniteCacheBandwidth...);
+        f("itlbEntries", s.itlbEntries...);
+        f("dtlbEntries", s.dtlbEntries...);
+        f("pageBytes", s.pageBytes...);
+        f("disambiguationBits", s.disambiguationBits...);
+        f("seed", s.seed...);
+    }
 };
 
 /** Named machine presets used throughout tests, examples, and benches. */

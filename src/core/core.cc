@@ -1,7 +1,6 @@
 #include "core/core.hh"
 
 #include <chrono>
-#include <cstdio>
 
 #include "common/logging.hh"
 #include "obs/pipe_trace.hh"
@@ -157,61 +156,6 @@ SmtCore::validateInvariants() const
 
     smt_assert(state_.intQueue.size() <= state_.intQueue.capacity());
     smt_assert(state_.fpQueue.size() <= state_.fpQueue.capacity());
-}
-
-void
-SmtCore::debugDump() const
-{
-    std::fprintf(stderr, "=== cycle %llu ===\n",
-                 static_cast<unsigned long long>(state_.cycle));
-    std::fprintf(stderr, "intQ=%zu fpQ=%zu inFlight=%zu live=%zu\n",
-                 state_.intQueue.size(), state_.fpQueue.size(),
-                 state_.inFlight.size(), state_.pool.live());
-    auto dump_inst = [&](const char *tag, const DynInst *i) {
-        const char *ready1 =
-            !i->si->src1.valid()
-                ? "-"
-                : (state_.file(i->si->src1.file).readyAt(i->src1Phys) <=
-                           state_.cycle
-                       ? "rdy"
-                       : "wait");
-        const char *ready2 =
-            !i->si->src2.valid()
-                ? "-"
-                : (state_.file(i->si->src2.file).readyAt(i->src2Phys) <=
-                           state_.cycle
-                       ? "rdy"
-                       : "wait");
-        std::fprintf(stderr,
-                     "  %s seq=%llu t%u pc=%llx op=%s stage=%u wp=%d "
-                     "src1=%s src2=%s complete=%llu rel=%llu\n",
-                     tag, static_cast<unsigned long long>(i->seq), i->tid,
-                     static_cast<unsigned long long>(i->pc),
-                     opClassName(i->si->op),
-                     static_cast<unsigned>(i->stage), i->wrongPath,
-                     ready1, ready2,
-                     static_cast<unsigned long long>(i->completeCycle),
-                     static_cast<unsigned long long>(i->iqReleaseCycle));
-    };
-    for (unsigned t = 0; t < state_.numThreads; ++t) {
-        const ThreadState &ts = state_.threads[t];
-        std::fprintf(stderr,
-                     "thread %u: fetchPc=%llx readyAt=%llu frontEnd=%zu "
-                     "rob=%zu count=%u wrongPath=%d\n",
-                     t, static_cast<unsigned long long>(ts.fetchPc),
-                     static_cast<unsigned long long>(
-                         state_.fetchReadyAt[t]),
-                     ts.frontEnd.size(), ts.rob.size(),
-                     state_.frontAndQueueCount[t], ts.onWrongPath);
-        if (!ts.rob.empty())
-            dump_inst("rob-head", ts.rob.front());
-        if (!ts.frontEnd.empty())
-            dump_inst("fe-head", ts.frontEnd.front());
-    }
-    for (std::size_t i = 0; i < state_.intQueue.size(); ++i)
-        dump_inst("intQ", state_.intQueue.at(i));
-    for (std::size_t i = 0; i < state_.fpQueue.size(); ++i)
-        dump_inst("fpQ", state_.fpQueue.at(i));
 }
 
 } // namespace smt

@@ -127,9 +127,6 @@ class SmtCore
      */
     void validateInvariants() const;
 
-    /** Print a human-readable snapshot of pipeline state to stderr. */
-    void debugDump() const;
-
   private:
     /** Close the cycle the stages just ran. */
     void endCycle();

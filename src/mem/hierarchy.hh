@@ -53,11 +53,6 @@ class MemoryHierarchy
     /** Outstanding D-cache misses for a thread at `now` (MISSCOUNT). */
     unsigned outstandingDMisses(ThreadID tid, Cycle now);
 
-    /** Diagnostic access to the cache levels (calibration tooling). */
-    BankedCache &l2Cache() { return *l2_; }
-    BankedCache &dcacheLevel() { return *dcache_; }
-    BankedCache &icacheLevel() { return *icache_; }
-
     /** The full memory-access latency used for TLB-miss penalties. */
     unsigned tlbMissPenalty() const { return tlbMissPenalty_; }
 

@@ -33,13 +33,6 @@ Socket::close()
     }
 }
 
-void
-Socket::shutdownBoth()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-}
-
 bool
 Socket::setNonBlocking()
 {

@@ -39,10 +39,6 @@ class Socket
     /** Close now (idempotent). */
     void close();
 
-    /** shutdown(2) both directions — unblocks a peer or a reader in
-     *  another thread without racing the fd's lifetime. */
-    void shutdownBoth();
-
     /** Switch the fd to O_NONBLOCK (the event-loop server's mode);
      *  false on fcntl failure. */
     bool setNonBlocking();

@@ -7,6 +7,7 @@
 #include "isa/static_inst.hh"
 #include "obs/trace.hh"
 #include "stats/stats.hh"
+#include "sweep/serialize.hh"
 
 namespace smt::obs
 {
@@ -233,26 +234,7 @@ PipeTrace::endCycle(const PipelineState &st)
     // samples attribute lost slots per cause; note `warmup()` zeroes
     // these counters, so windows spanning the warmup boundary see
     // one negative delta (smtpipe clamps it).
-    const StallStats &stalls = st.stats.stalls;
-    sweep::Json sj = sweep::Json::object();
-    sj.set("fetchActive", threadArray(stalls.fetchActive, threads));
-    sj.set("fetchIcacheMiss",
-           threadArray(stalls.fetchIcacheMiss, threads));
-    sj.set("fetchFrontEndFull",
-           threadArray(stalls.fetchFrontEndFull, threads));
-    sj.set("fetchNoTarget",
-           threadArray(stalls.fetchNoTarget, threads));
-    sj.set("fetchLostSelection",
-           threadArray(stalls.fetchLostSelection, threads));
-    sj.set("renameIQFull", threadArray(stalls.renameIQFull, threads));
-    sj.set("renameNoRegisters",
-           threadArray(stalls.renameNoRegisters, threads));
-    sj.set("issueOperandWait",
-           threadArray(stalls.issueOperandWait, threads));
-    sj.set("issueFuBusy", threadArray(stalls.issueFuBusy, threads));
-    sj.set("issueNoCandidatesCycles",
-           sweep::Json(stalls.issueNoCandidatesCycles));
-    fields.set("stalls", std::move(sj));
+    fields.set("stalls", sweep::toJson(st.stats.stalls, threads));
 
     emit("sample", std::move(fields));
 }

@@ -111,7 +111,6 @@ class PipeTrace
     PipeTrace(const PipeTrace &) = delete;
     PipeTrace &operator=(const PipeTrace &) = delete;
 
-    const std::string &streamId() const { return stream_; }
     const PipeTraceOptions &options() const { return opts_; }
 
     // ---- stage hooks -------------------------------------------------

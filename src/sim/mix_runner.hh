@@ -38,6 +38,21 @@ struct MeasureOptions
     std::uint64_t warmupCycles = 30000; ///< cold-start ramp, discarded.
     unsigned runs = 8;                  ///< rotation length.
     bool parallel = true;               ///< use worker threads.
+
+    /**
+     * The field list: calls `f("key", s.field...)` for every
+     * result-affecting field, in the digest's byte order. `parallel`
+     * never enters the digest: a parallel measurement is
+     * bit-identical to a serial one.
+     */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("cyclesPerRun", s.cyclesPerRun...);
+        f("warmupCycles", s.warmupCycles...);
+        f("runs", s.runs...);
+    }
 };
 
 /**

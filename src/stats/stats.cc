@@ -2,67 +2,40 @@
 
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 
 namespace smt
 {
 
-void
-StallStats::add(const StallStats &o)
+namespace
 {
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        fetchActive[t] += o.fetchActive[t];
-        fetchIcacheMiss[t] += o.fetchIcacheMiss[t];
-        fetchFrontEndFull[t] += o.fetchFrontEndFull[t];
-        fetchNoTarget[t] += o.fetchNoTarget[t];
-        fetchLostSelection[t] += o.fetchLostSelection[t];
-        renameIQFull[t] += o.renameIQFull[t];
-        renameNoRegisters[t] += o.renameNoRegisters[t];
-        issueOperandWait[t] += o.issueOperandWait[t];
-        issueFuBusy[t] += o.issueFuBusy[t];
+
+/** Add `from` into `into`: counters sum, histograms merge exactly,
+ *  and a record adds field by field through its field list. */
+template <class T>
+void
+accumulate(T &into, const T &from)
+{
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+        into += from;
+    } else if constexpr (std::is_same_v<T, PerThreadCounts>) {
+        for (unsigned t = 0; t < kMaxThreads; ++t)
+            into[t] += from[t];
+    } else if constexpr (std::is_same_v<T, Histogram>) {
+        into.merge(from);
+    } else {
+        T::fields([](const char *, auto &a, const auto &b) {
+            accumulate(a, b);
+        }, into, from);
     }
-    issueNoCandidatesCycles += o.issueNoCandidatesCycles;
 }
+
+} // namespace
 
 void
 SimStats::add(const SimStats &o)
 {
-    cycles += o.cycles;
-    committedInstructions += o.committedInstructions;
-    for (unsigned t = 0; t < kMaxThreads; ++t)
-        committedPerThread[t] += o.committedPerThread[t];
-
-    fetchedInstructions += o.fetchedInstructions;
-    fetchedWrongPath += o.fetchedWrongPath;
-    fetchCyclesIdle += o.fetchCyclesIdle;
-    fetchBlockedIQFull += o.fetchBlockedIQFull;
-
-    issuedInstructions += o.issuedInstructions;
-    issuedWrongPath += o.issuedWrongPath;
-    optimisticSquashes += o.optimisticSquashes;
-
-    intIQFullCycles += o.intIQFullCycles;
-    fpIQFullCycles += o.fpIQFullCycles;
-    for (std::size_t b = 0; b < o.combinedQueuePopulation.buckets(); ++b) {
-        const auto count = o.combinedQueuePopulation.bucket(b);
-        if (count)
-            combinedQueuePopulation.sample(b, count);
-    }
-
-    outOfRegistersCycles += o.outOfRegistersCycles;
-    stalls.add(o.stalls);
-
-    condBranches += o.condBranches;
-    condBranchMispredicts += o.condBranchMispredicts;
-    jumps += o.jumps;
-    jumpMispredicts += o.jumpMispredicts;
-    misfetches += o.misfetches;
-
-    icache.add(o.icache);
-    dcache.add(o.dcache);
-    l2.add(o.l2);
-    l3.add(o.l3);
-    itlb.add(o.itlb);
-    dtlb.add(o.dtlb);
+    accumulate(*this, o);
 }
 
 std::string
@@ -121,9 +94,7 @@ SimStats::stallReport(unsigned numThreads) const
 
     std::uint64_t grand = 0;
     for (unsigned t = 0; t < numThreads; ++t) {
-        const std::uint64_t row = s.fetchStalled(t) + s.renameIQFull[t] +
-                                  s.renameNoRegisters[t] +
-                                  s.issueOperandWait[t] + s.issueFuBusy[t];
+        const std::uint64_t row = s.threadStalled(t);
         grand += row;
         os << 'T' << std::left << std::setw(6) << t;
         for (std::uint64_t v :

@@ -22,6 +22,17 @@
 namespace smt
 {
 
+/** One counter per hardware context. */
+using PerThreadCounts = std::array<std::uint64_t, kMaxThreads>;
+
+/*
+ * Field lists. Each record below names every field once, with its
+ * JSON key, in a static `fields(f, s...)` that calls
+ * `f("key", s.field...)` for each field in turn. One list walks one
+ * record (the entry codec in sweep/serialize.cc) or several in step
+ * (SimStats::add). List order is the cache entry's byte order.
+ */
+
 /** Counters for one cache level. */
 struct CacheStats
 {
@@ -44,14 +55,16 @@ struct CacheStats
         return committed ? 1000.0 * misses / committed : 0.0;
     }
 
-    void
-    add(const CacheStats &o)
+    /** The field list, in the entry's byte order. */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
     {
-        accesses += o.accesses;
-        misses += o.misses;
-        bankConflicts += o.bankConflicts;
-        writebacks += o.writebacks;
-        mshrMerges += o.mshrMerges;
+        f("accesses", s.accesses...);
+        f("misses", s.misses...);
+        f("bankConflicts", s.bankConflicts...);
+        f("writebacks", s.writebacks...);
+        f("mshrMerges", s.mshrMerges...);
     }
 };
 
@@ -67,11 +80,13 @@ struct TlbStats
         return accesses ? static_cast<double>(misses) / accesses : 0.0;
     }
 
-    void
-    add(const TlbStats &o)
+    /** The field list, in the entry's byte order. */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
     {
-        accesses += o.accesses;
-        misses += o.misses;
+        f("accesses", s.accesses...);
+        f("misses", s.misses...);
     }
 };
 
@@ -91,27 +106,27 @@ struct StallStats
 {
     // ---- Fetch (one disposition per cycle per thread) -------------------
     /** The thread fetched at least one instruction this cycle. */
-    std::array<std::uint64_t, kMaxThreads> fetchActive{};
+    PerThreadCounts fetchActive{};
     /** I-cache/ITLB miss pending or starting, or lost the bank. */
-    std::array<std::uint64_t, kMaxThreads> fetchIcacheMiss{};
+    PerThreadCounts fetchIcacheMiss{};
     /** Front-end/queue occupancy cap reached (IQ backpressure). */
-    std::array<std::uint64_t, kMaxThreads> fetchFrontEndFull{};
+    PerThreadCounts fetchFrontEndFull{};
     /** Fetch PC has no decoded target (awaiting misfetch resolution). */
-    std::array<std::uint64_t, kMaxThreads> fetchNoTarget{};
+    PerThreadCounts fetchNoTarget{};
     /** Fetchable, but lost the slot to higher-priority threads. */
-    std::array<std::uint64_t, kMaxThreads> fetchLostSelection{};
+    PerThreadCounts fetchLostSelection{};
 
     // ---- Rename/dispatch (once per blocked cycle per thread) ------------
     /** Rename blocked: the target instruction queue was full. */
-    std::array<std::uint64_t, kMaxThreads> renameIQFull{};
+    PerThreadCounts renameIQFull{};
     /** Rename blocked: no free physical register. */
-    std::array<std::uint64_t, kMaxThreads> renameNoRegisters{};
+    PerThreadCounts renameNoRegisters{};
 
     // ---- Issue (per skipped-candidate event) ----------------------------
     /** Candidate skipped: source operands not ready. */
-    std::array<std::uint64_t, kMaxThreads> issueOperandWait{};
+    PerThreadCounts issueOperandWait{};
     /** Candidate skipped: no functional unit left this cycle. */
-    std::array<std::uint64_t, kMaxThreads> issueFuBusy{};
+    PerThreadCounts issueFuBusy{};
     /** Cycles where neither queue offered a single candidate. */
     std::uint64_t issueNoCandidatesCycles = 0;
 
@@ -123,19 +138,41 @@ struct StallStats
                fetchNoTarget[t] + fetchLostSelection[t];
     }
 
+    /** Every stalled slot of thread `t`: its fetch stalls plus its
+     *  rename and issue causes (the `stalled` column of its row). */
+    std::uint64_t
+    threadStalled(unsigned t) const
+    {
+        return fetchStalled(t) + renameIQFull[t] + renameNoRegisters[t] +
+               issueOperandWait[t] + issueFuBusy[t];
+    }
+
     /** All stalled slots across threads and causes (report total). */
     std::uint64_t
     totalStalledSlots() const
     {
         std::uint64_t total = issueNoCandidatesCycles;
         for (unsigned t = 0; t < kMaxThreads; ++t)
-            total += fetchStalled(t) + renameIQFull[t] +
-                     renameNoRegisters[t] + issueOperandWait[t] +
-                     issueFuBusy[t];
+            total += threadStalled(t);
         return total;
     }
 
-    void add(const StallStats &o);
+    /** The field list, in the entry's byte order. */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("fetchActive", s.fetchActive...);
+        f("fetchIcacheMiss", s.fetchIcacheMiss...);
+        f("fetchFrontEndFull", s.fetchFrontEndFull...);
+        f("fetchNoTarget", s.fetchNoTarget...);
+        f("fetchLostSelection", s.fetchLostSelection...);
+        f("renameIQFull", s.renameIQFull...);
+        f("renameNoRegisters", s.renameNoRegisters...);
+        f("issueOperandWait", s.issueOperandWait...);
+        f("issueFuBusy", s.issueFuBusy...);
+        f("issueNoCandidatesCycles", s.issueNoCandidatesCycles...);
+    }
 };
 
 /** Every simulation-level counter the paper's evaluation reports. */
@@ -144,7 +181,7 @@ struct SimStats
     // ---- Progress -------------------------------------------------------
     std::uint64_t cycles = 0;
     std::uint64_t committedInstructions = 0; ///< useful instructions only.
-    std::array<std::uint64_t, kMaxThreads> committedPerThread{};
+    PerThreadCounts committedPerThread{};
 
     // ---- Fetch ----------------------------------------------------------
     std::uint64_t fetchedInstructions = 0;   ///< includes wrong path.
@@ -268,6 +305,44 @@ struct SimStats
 
     /** Accumulate another run's counters into this one. */
     void add(const SimStats &o);
+
+    /**
+     * The field list, in the entry's byte order. `stalls` follows
+     * outOfRegistersCycles here although the struct declares it last:
+     * the list keeps the entry's byte order, the declaration the
+     * scalar counters' cache-line packing.
+     */
+    template <class F, class... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("cycles", s.cycles...);
+        f("committedInstructions", s.committedInstructions...);
+        f("committedPerThread", s.committedPerThread...);
+        f("fetchedInstructions", s.fetchedInstructions...);
+        f("fetchedWrongPath", s.fetchedWrongPath...);
+        f("fetchCyclesIdle", s.fetchCyclesIdle...);
+        f("fetchBlockedIQFull", s.fetchBlockedIQFull...);
+        f("issuedInstructions", s.issuedInstructions...);
+        f("issuedWrongPath", s.issuedWrongPath...);
+        f("optimisticSquashes", s.optimisticSquashes...);
+        f("intIQFullCycles", s.intIQFullCycles...);
+        f("fpIQFullCycles", s.fpIQFullCycles...);
+        f("combinedQueuePopulation", s.combinedQueuePopulation...);
+        f("outOfRegistersCycles", s.outOfRegistersCycles...);
+        f("stalls", s.stalls...);
+        f("condBranches", s.condBranches...);
+        f("condBranchMispredicts", s.condBranchMispredicts...);
+        f("jumps", s.jumps...);
+        f("jumpMispredicts", s.jumpMispredicts...);
+        f("misfetches", s.misfetches...);
+        f("icache", s.icache...);
+        f("dcache", s.dcache...);
+        f("l2", s.l2...);
+        f("l3", s.l3...);
+        f("itlb", s.itlb...);
+        f("dtlb", s.dtlb...);
+    }
 
     /** Multi-line human-readable dump (for examples and debugging). */
     std::string report() const;

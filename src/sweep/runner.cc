@@ -5,6 +5,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -302,16 +303,12 @@ stallLedgerJson(const SimStats &stats, unsigned num_threads)
     Json threads = Json::array();
     for (unsigned t = 0; t < num_threads && t < kMaxThreads; ++t) {
         Json row = Json::object();
-        row.set("fetchActive", Json(s.fetchActive[t]));
-        row.set("fetchIcacheMiss", Json(s.fetchIcacheMiss[t]));
-        row.set("fetchFrontEndFull", Json(s.fetchFrontEndFull[t]));
-        row.set("fetchNoTarget", Json(s.fetchNoTarget[t]));
-        row.set("fetchLostSelection", Json(s.fetchLostSelection[t]));
-        row.set("renameIQFull", Json(s.renameIQFull[t]));
-        row.set("renameNoRegisters", Json(s.renameNoRegisters[t]));
-        row.set("issueOperandWait", Json(s.issueOperandWait[t]));
-        row.set("issueFuBusy", Json(s.issueFuBusy[t]));
-        row.set("stalled", Json(s.fetchStalled(t)));
+        StallStats::fields([&](const char *key, const auto &counts) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(counts)>,
+                                         PerThreadCounts>)
+                row.set(key, Json(counts[t]));
+        }, s);
+        row.set("stalled", Json(s.threadStalled(t)));
         threads.push(std::move(row));
     }
     doc.set("threads", std::move(threads));

@@ -128,7 +128,8 @@ std::vector<PointResult> runPoints(const std::vector<SweepPoint> &points,
  * ledger as machine-readable JSON (`smtsweep --stall-report --json`):
  * {"threads": [per-thread per-cause counters + "stalled"],
  *  "issueNoCandidatesCycles", "totalStalledSlots"} — the same shape
- * smttrace embeds in its summary under "stalls".
+ * smttrace embeds in its summary under "stalls". A row's "stalled" is
+ * the stall report's row total (StallStats::threadStalled).
  */
 Json outcomeArtifact(const std::vector<SweepOutcome> &outcomes,
                      bool with_stalls = false);

@@ -2,6 +2,12 @@
  * @file
  * JSON views of the simulator's domain types.
  *
+ * One generic encoder and one generic decoder walk each record's field
+ * list (`fields()` on SimStats and its parts, SmtConfig, CacheParams
+ * and MeasureOptions), so a field's JSON key is named once, in its
+ * record, and the list's order is the byte order of digests and cache
+ * entries.
+ *
  * Configs and measure options serialize one-way (their JSON is the
  * canonical form the content digest hashes, and a human-readable
  * record inside cache entries); SimStats round-trips exactly — every
@@ -29,7 +35,12 @@ Json toJson(const MeasureOptions &opts);
 /** Every counter, including histogram state. */
 Json toJson(const SimStats &stats);
 
-/** Rebuild stats from toJson() output; false on a malformed value. */
+/** The stall ledger with each per-thread counter cut to its first
+ *  `threads` slots (the pipetrace sample's `stalls`). */
+Json toJson(const StallStats &stalls, unsigned threads);
+
+/** Rebuild stats from toJson() output; false (out untouched) when any
+ *  key, at any depth, is missing or has the wrong type. */
 bool simStatsFromJson(const Json &j, SimStats &out);
 
 } // namespace smt::sweep

@@ -1,6 +1,7 @@
 #include "sweep/spec.hh"
 
 #include <functional>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -10,88 +11,27 @@ namespace smt::sweep
 namespace
 {
 
-struct KnobEntry
+/** `v` as the value of a scalar config field of type T (fatal when
+ *  `v` has the wrong type). */
+template <class T>
+T
+knobValue(const Json &v)
 {
-    const char *name;
-    std::function<void(SmtConfig &, const Json &)> apply;
-};
-
-template <typename T>
-std::function<void(SmtConfig &, const Json &)>
-uintKnob(T SmtConfig::*field)
-{
-    return [field](SmtConfig &cfg, const Json &v) {
-        cfg.*field = static_cast<T>(v.asUInt());
-    };
-}
-
-std::function<void(SmtConfig &, const Json &)>
-boolKnob(bool SmtConfig::*field)
-{
-    return [field](SmtConfig &cfg, const Json &v) {
-        cfg.*field = v.asBool();
-    };
-}
-
-const std::vector<KnobEntry> &
-knobTable()
-{
-    static const std::vector<KnobEntry> table = {
-        {"numThreads", uintKnob(&SmtConfig::numThreads)},
-        {"fetchWidth", uintKnob(&SmtConfig::fetchWidth)},
-        {"fetchThreads", uintKnob(&SmtConfig::fetchThreads)},
-        {"fetchPerThread", uintKnob(&SmtConfig::fetchPerThread)},
-        {"decodeWidth", uintKnob(&SmtConfig::decodeWidth)},
-        {"renameWidth", uintKnob(&SmtConfig::renameWidth)},
-        {"commitWidth", uintKnob(&SmtConfig::commitWidth)},
-        {"fetchPolicy",
-         [](SmtConfig &cfg, const Json &v) {
-             cfg.fetchPolicy = v.asString();
-         }},
-        {"issuePolicy",
-         [](SmtConfig &cfg, const Json &v) {
-             cfg.issuePolicy = v.asString();
-         }},
-        {"speculation",
-         [](SmtConfig &cfg, const Json &v) {
-             const std::string &s = v.asString();
-             for (SpeculationMode m :
-                  {SpeculationMode::Full, SpeculationMode::NoPassBranch,
-                   SpeculationMode::NoWrongPathIssue}) {
-                 if (s == toString(m)) {
-                     cfg.speculation = m;
-                     return;
-                 }
-             }
-             smt_fatal("unknown speculation mode \"%s\"", s.c_str());
-         }},
-        {"itagEarlyLookup", boolKnob(&SmtConfig::itagEarlyLookup)},
-        {"intQueueEntries", uintKnob(&SmtConfig::intQueueEntries)},
-        {"fpQueueEntries", uintKnob(&SmtConfig::fpQueueEntries)},
-        {"iqSearchWindow", uintKnob(&SmtConfig::iqSearchWindow)},
-        {"intUnits", uintKnob(&SmtConfig::intUnits)},
-        {"loadStoreUnits", uintKnob(&SmtConfig::loadStoreUnits)},
-        {"fpUnits", uintKnob(&SmtConfig::fpUnits)},
-        {"infiniteFunctionalUnits",
-         boolKnob(&SmtConfig::infiniteFunctionalUnits)},
-        {"excessRegisters", uintKnob(&SmtConfig::excessRegisters)},
-        {"totalPhysRegisters", uintKnob(&SmtConfig::totalPhysRegisters)},
-        {"longRegisterPipeline",
-         boolKnob(&SmtConfig::longRegisterPipeline)},
-        {"btbEntries", uintKnob(&SmtConfig::btbEntries)},
-        {"btbAssoc", uintKnob(&SmtConfig::btbAssoc)},
-        {"btbThreadIds", boolKnob(&SmtConfig::btbThreadIds)},
-        {"phtEntries", uintKnob(&SmtConfig::phtEntries)},
-        {"phtHistoryBits", uintKnob(&SmtConfig::phtHistoryBits)},
-        {"rasEntries", uintKnob(&SmtConfig::rasEntries)},
-        {"perfectBranchPrediction",
-         boolKnob(&SmtConfig::perfectBranchPrediction)},
-        {"infiniteCacheBandwidth",
-         boolKnob(&SmtConfig::infiniteCacheBandwidth)},
-        {"disambiguationBits", uintKnob(&SmtConfig::disambiguationBits)},
-        {"seed", uintKnob(&SmtConfig::seed)},
-    };
-    return table;
+    if constexpr (std::is_same_v<T, bool>) {
+        return v.asBool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return v.asString();
+    } else if constexpr (std::is_same_v<T, SpeculationMode>) {
+        const std::string &s = v.asString();
+        for (SpeculationMode m :
+             {SpeculationMode::Full, SpeculationMode::NoPassBranch,
+              SpeculationMode::NoWrongPathIssue})
+            if (s == toString(m))
+                return m;
+        smt_fatal("unknown speculation mode \"%s\"", s.c_str());
+    } else {
+        return static_cast<T>(v.asUInt());
+    }
 }
 
 SmtConfig
@@ -123,22 +63,18 @@ toJson(const KnobAssignment &a)
 void
 applyKnob(SmtConfig &cfg, const KnobAssignment &assignment)
 {
-    for (const KnobEntry &entry : knobTable()) {
-        if (assignment.knob == entry.name) {
-            entry.apply(cfg, assignment.value);
-            return;
+    bool applied = false;
+    SmtConfig::fields([&](const char *name, auto &field) {
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (!std::is_same_v<T, CacheParams>) {
+            if (assignment.knob == name) {
+                field = knobValue<T>(assignment.value);
+                applied = true;
+            }
         }
-    }
-    smt_fatal("unknown config knob \"%s\"", assignment.knob.c_str());
-}
-
-std::vector<std::string>
-knownKnobs()
-{
-    std::vector<std::string> names;
-    for (const KnobEntry &entry : knobTable())
-        names.push_back(entry.name);
-    return names;
+    }, cfg);
+    if (!applied)
+        smt_fatal("unknown config knob \"%s\"", assignment.knob.c_str());
 }
 
 std::vector<SweepPoint>

@@ -33,11 +33,13 @@ struct KnobAssignment
     Json value;
 };
 
-/** Set one named knob on a config; fatal on an unknown knob name. */
+/**
+ * Set one named knob on a config. Every scalar SmtConfig field is a
+ * knob under its key in SmtConfig::fields(); the four cache
+ * geometries are not. Fatal on an unknown knob name or a value of the
+ * wrong type.
+ */
 void applyKnob(SmtConfig &cfg, const KnobAssignment &assignment);
-
-/** The knob names applyKnob understands (for diagnostics/docs). */
-std::vector<std::string> knownKnobs();
 
 /** One setting of an axis, e.g. policy axis option "ICOUNT". */
 struct AxisOption

@@ -7,7 +7,10 @@
  *  - fetch dispositions partition time: per thread, the five fetch
  *    outcome counters sum exactly to the run's cycle count (exactly
  *    one disposition is recorded per thread per cycle);
- *  - the human stall report's grand total equals totalStalledSlots().
+ *  - the human stall report's grand total equals totalStalledSlots();
+ *  - the JSON ledger (`--stall-report --json`) is the same ledger: each
+ *    row's `stalled` equals the report's row, and the rows plus the
+ *    idle cycles sum to totalStalledSlots().
  *
  * GoldenStats.EveryPaperPolicyPairMatchesTheParent (test_policy.cpp)
  * pins each pair's ledger totals.
@@ -23,6 +26,7 @@
 #include <string>
 
 #include "sim/simulator.hh"
+#include "sweep/runner.hh"
 #include "workload/mix.hh"
 
 namespace smt
@@ -93,6 +97,33 @@ checkLedger(const SimStats &stats, unsigned threads,
               std::string::npos)
         << what << ": report total differs from totalStalledSlots()\n"
         << report;
+
+    // The JSON ledger holds the same rows and closes on the same total.
+    sweep::SweepOutcome outcome;
+    sweep::PointResult point;
+    point.point.threads = threads;
+    point.data.stats = stats;
+    outcome.points.push_back(std::move(point));
+    const sweep::Json doc = sweep::outcomeArtifact({outcome}, true);
+    const sweep::Json &ledger =
+        doc.at("experiments")[0].at("points")[0].at("stalls");
+    const sweep::Json &rows = ledger.at("threads");
+    ASSERT_EQ(rows.size(), threads) << what;
+    std::uint64_t json_total = ledger.at("issueNoCandidatesCycles").asUInt();
+    for (unsigned t = 0; t < threads; ++t) {
+        const std::uint64_t stalled = rows[t].at("stalled").asUInt();
+        json_total += stalled;
+        // The report's row for thread t ends with its stalled column.
+        const std::size_t row = report.find("\nT" + std::to_string(t) + " ");
+        ASSERT_NE(row, std::string::npos) << what << "\n" << report;
+        const std::string line =
+            report.substr(row + 1, report.find('\n', row + 1) - row - 1);
+        EXPECT_EQ(line.substr(line.find_last_of(' ') + 1),
+                  std::to_string(stalled))
+            << what << ": JSON row of thread " << t
+            << " differs from the report's\n" << report;
+    }
+    EXPECT_EQ(json_total, ledger.at("totalStalledSlots").asUInt()) << what;
 }
 
 TEST(StallAccounting, LedgerClosesForEveryPair)

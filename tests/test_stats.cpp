@@ -77,6 +77,25 @@ TEST(SimStats, AddAggregates)
     EXPECT_DOUBLE_EQ(a.ipc(), 2.0);
 }
 
+TEST(SimStats, AddKeepsTheValuesOfClampedQueueSamples)
+{
+    // The population histogram's top bucket holds every sample of 128
+    // or more. Adding a run into a point must keep those samples' true
+    // values, not rewrite them as 128.
+    SimStats run;
+    run.combinedQueuePopulation.sample(200);
+    run.combinedQueuePopulation.sample(100);
+    ASSERT_DOUBLE_EQ(run.avgQueuePopulation(), 150.0);
+
+    SimStats point;
+    point.add(run);
+    EXPECT_DOUBLE_EQ(point.avgQueuePopulation(), 150.0);
+    EXPECT_EQ(point.combinedQueuePopulation.sum(), 300u);
+    EXPECT_EQ(point.combinedQueuePopulation.samples(), 2u);
+    EXPECT_EQ(point.combinedQueuePopulation.bucket(128), 1u);
+    EXPECT_EQ(point.combinedQueuePopulation.bucket(100), 1u);
+}
+
 TEST(SimStats, ReportContainsKeyLines)
 {
     SimStats s;

@@ -12,7 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
+#include <type_traits>
 
 #include "common/lz.hh"
 #include "support.hh"
@@ -132,47 +135,77 @@ TEST(Digest, IdenticalKeysDigestIdentically)
     EXPECT_EQ(measurementDigest(a, opts), measurementDigest(b, opts));
 }
 
+/** Another value for a scalar config field, as a knob value. */
+template <class T>
+Json
+otherValue(const std::string &name, const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        return Json(!v);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        return Json(static_cast<std::uint64_t>(v) + 1);
+    } else {
+        // Names: another registered value (a new field of another kind
+        // throws here until it is listed).
+        static const std::map<std::string, const char *> other = {
+            {"fetchPolicy", "ICOUNT"},
+            {"issuePolicy", "OPT_LAST"},
+            {"speculation", "no-pass-branch"},
+        };
+        return Json(other.at(name));
+    }
+}
+
+/** Change the `n`th field of `cfg` (a scalar, or one field of a cache
+ *  geometry) to another value, each scalar by name through applyKnob.
+ *  Returns the field's name, or "" past the last field. */
+std::string
+changeField(SmtConfig &cfg, std::size_t n)
+{
+    std::string changed;
+    std::optional<KnobAssignment> knob;
+    std::size_t seen = 0;
+    SmtConfig::fields([&](const char *name, auto &field) {
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, CacheParams>) {
+            CacheParams::fields([&](const char *key, auto &geometry) {
+                if (seen++ == n) {
+                    geometry += 1;
+                    changed = std::string(name) + "." + key;
+                }
+            }, field);
+        } else if (seen++ == n) {
+            knob = KnobAssignment{name, otherValue(name, field)};
+            changed = name;
+        }
+    }, cfg);
+    if (knob)
+        applyKnob(cfg, *knob);
+    return changed;
+}
+
 TEST(Digest, AnyKnobChangeChangesTheDigest)
 {
     const MeasureOptions opts = tinyOptions();
     const SmtConfig base = presets::baseSmt(4);
     const std::string base_digest = measurementDigest(base, opts);
 
-    std::vector<SmtConfig> variants;
-    for (const char *knob :
-         {"numThreads", "fetchThreads", "fetchPerThread", "intQueueEntries",
-          "iqSearchWindow", "excessRegisters", "totalPhysRegisters",
-          "btbEntries", "phtEntries", "seed", "disambiguationBits"}) {
-        SmtConfig cfg = base;
-        applyKnob(cfg, {knob, Json(std::uint64_t{7})});
-        variants.push_back(cfg);
-    }
-    for (const char *knob :
-         {"itagEarlyLookup", "perfectBranchPrediction",
-          "infiniteFunctionalUnits", "infiniteCacheBandwidth"}) {
-        SmtConfig cfg = base;
-        applyKnob(cfg, {knob, Json(true)});
-        variants.push_back(cfg);
-    }
-    {
-        SmtConfig cfg = base;
-        cfg.fetchPolicy = "ICOUNT";
-        variants.push_back(cfg);
-        cfg = base;
-        cfg.issuePolicy = "OPT_LAST";
-        variants.push_back(cfg);
-        cfg = base;
-        cfg.l2.sizeBytes *= 2;
-        variants.push_back(cfg);
-    }
-
+    // Every config field, one at a time: each change gives a digest
+    // no other config has.
     std::vector<std::string> digests = {base_digest};
-    for (const SmtConfig &cfg : variants) {
+    std::size_t fields = 0;
+    for (;; ++fields) {
+        SmtConfig cfg = base;
+        const std::string name = changeField(cfg, fields);
+        if (name.empty())
+            break;
         const std::string d = measurementDigest(cfg, opts);
         for (const std::string &seen : digests)
-            EXPECT_NE(d, seen);
+            EXPECT_NE(d, seen) << name;
         digests.push_back(d);
     }
+    // 34 scalar fields and 4 caches x 10 geometry fields.
+    EXPECT_EQ(fields, 74u);
 
     // Measurement knobs are part of the key too...
     MeasureOptions more_cycles = opts;
@@ -440,6 +473,9 @@ TEST(Spec, UnknownKnobsAreFatal)
     testing::FLAGS_gtest_death_test_style = "threadsafe";
     SmtConfig cfg;
     EXPECT_DEATH(applyKnob(cfg, {"no_such_knob", Json(std::uint64_t{1})}),
+                 "unknown config knob");
+    // A cache geometry is a record, not a knob.
+    EXPECT_DEATH(applyKnob(cfg, {"icache", Json::object()}),
                  "unknown config knob");
 }
 
